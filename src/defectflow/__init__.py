@@ -6,8 +6,7 @@ dynamics, its closed-form effective velocities, the limiting rectangle
 evolution, and a direct two-dimensional flow simulator.
 """
 
-from .closedform import (CaseTag, ClosedFormVelocity, closed_form_velocity,
-                         closed_form_velocity_nb1, closed_form_velocity_nb2)
+from .closedform import CaseTag, ClosedFormVelocity, closed_form_velocity
 from .evolution import (RectState, RectTrajectory, Segment, classify_regime,
                         integrate, velocity_of_length)
 from .flow import (CandidateFamily, FamilyTooSmallError, FlowConfig, FlowResult,
@@ -21,7 +20,7 @@ from .lattice import (AlphaRectangle, LatticeSet, MediumSpec, bond_coefficient,
 from .orbit import (OrbitTrace, SingularInputError, VelocityResult,
                     effective_velocity, homogeneous_velocity, is_singular,
                     pinning_threshold, run_orbit, step_minimizer)
-from .rationals import (as_fraction, euler_totient, extended_gcd, format_rational,
+from .rationals import (as_fraction, extended_gcd, format_rational,
                         min_congruence_solution, mod_inverse, parse_rational,
                         rational_floor)
 

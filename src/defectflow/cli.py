@@ -2,7 +2,7 @@
 
 Subcommands: velocity-table, orbit, evolve, simulate, validate.  All model
 parameters are exact rationals written as 'p/q' (decimals are rejected) and
-all output is deterministic: same manifest, same bytes.
+all output is deterministic: same arguments, same bytes.
 
 Exit codes: 0 success, 1 validation or runtime failure, 2 bad arguments.
 """
@@ -14,13 +14,11 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .closedform import closed_form_velocity
 from .evolution import RectState, classify_regime, integrate
-from .flow import FlowConfig, run_flow
+from .flow import FamilyTooSmallError, FlowConfig, run_flow
 from .lattice import AlphaRectangle, MediumSpec
 from .orbit import (SingularInputError, effective_velocity, homogeneous_velocity,
                     is_singular, pinning_threshold, run_orbit)
@@ -32,30 +30,6 @@ def _rational(text: str) -> Fraction:
         return parse_rational(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
-
-
-@dataclass
-class RunManifest:
-    """Validated parameters of a single CLI invocation."""
-
-    command: str
-    spec: Optional[MediumSpec]
-    options: dict
-
-    def to_json(self) -> str:
-        def enc(v):
-            if isinstance(v, Fraction):
-                return format_rational(v)
-            return v
-        payload = {"command": self.command, "options": {k: enc(v) for k, v in sorted(self.options.items())}}
-        if self.spec is not None:
-            payload["medium"] = {
-                "alpha": format_rational(self.spec.alpha),
-                "beta": None if self.spec.beta is None else format_rational(self.spec.beta),
-                "n_alpha": self.spec.n_alpha,
-                "n_beta": self.spec.n_beta,
-            }
-        return json.dumps(payload, sort_keys=True)
 
 
 def _add_medium_args(p: argparse.ArgumentParser):
@@ -250,33 +224,17 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _validate_checks(spec_alpha_list, n_alpha_max, inject_mismatch):
-    """Yield (name, ok, detail) for the oracle equivalence and invariant suite."""
-    from .validation import oracle_equivalence_failures, invariant_failures
-
-    fails = oracle_equivalence_failures(alphas=spec_alpha_list,
-                                        n_alpha_max=n_alpha_max,
-                                        inject_mismatch=inject_mismatch)
-    yield ("oracle_equivalence", not fails,
-           "" if not fails else f"{len(fails)} mismatches, first: {fails[0]}")
-    inv = invariant_failures()
-    yield ("invariants", not inv, "" if not inv else f"first: {inv[0]}")
-
-
 def cmd_validate(args) -> int:
-    alphas = [Fraction(1), Fraction(1, 2), Fraction(3, 2)]
-    if args.checks == "none":
-        print("PASS (no checks selected)")
-        return 0
-    failed = False
-    for name, ok, detail in _validate_checks(alphas, args.n_alpha_max,
-                                             args.inject_mismatch):
-        if ok:
-            print(f"PASS {name}")
-        else:
-            failed = True
-            print(f"FAIL {name}: {detail}")
-    return 1 if failed else 0
+    # imported here: only validate needs it, and every CLI start pays for imports
+    from .validation import invariant_failures, oracle_equivalence_failures
+
+    fails = oracle_equivalence_failures(n_alpha_max=args.n_alpha_max,
+                                        inject_mismatch=args.inject_mismatch)
+    print(f"FAIL oracle_equivalence: {len(fails)} mismatches, first: {fails[0]}"
+          if fails else "PASS oracle_equivalence")
+    inv = invariant_failures()
+    print(f"FAIL invariants: first: {inv[0]}" if inv else "PASS invariants")
+    return 1 if fails or inv else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -325,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="cross-check closed forms against orbits")
     p.add_argument("--n-alpha-max", type=int, default=12)
-    p.add_argument("--checks", default="all", choices=("all", "none"))
     p.add_argument("--inject-mismatch", action="store_true",
                    help="deliberately corrupt one comparison (harness self-test)")
     p.set_defaults(func=cmd_validate)
@@ -346,6 +303,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 1
+    except FamilyTooSmallError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional
 
-from .orbit import SingularInputError
+from .orbit import SingularInputError, component_midpoint, jump_component
 from .rationals import as_fraction, min_congruence_solution, rational_floor
 
 CASE_LABELS = ("a1_decel", "a1_accel", "a2_no_defect", "b", "c")
@@ -42,8 +42,8 @@ def _component_nb1(n_alpha: int, alpha: Fraction, y: Fraction):
     if gcd(big_n, m) != 1:
         return Fraction(big_n), CaseTag(label="a2_no_defect")
     k = big_n % m
-    if 4 * alpha * y < 2 * big_n + 1:
-        # lower half of the component: the defect slows the side down
+    if jump_component(alpha, y)[0] % 2 == 0:
+        # lower of the two jump components with this N: the defect slows the side down
         n_min = min_congruence_solution(big_n, 1, m)
         k_min = (n_min * big_n - 1) // m
         label = "b" if k == n_alpha else "a1_decel"
@@ -74,7 +74,10 @@ def _component_nb2(n_alpha: int, alpha: Fraction, y: Fraction):
     return big_n + Fraction(1, n_bar), CaseTag(label=label, n_bar=n_bar, k_bar=k_bar)
 
 
-def _closed_form(n_alpha: int, n_beta: int, alpha, y) -> ClosedFormVelocity:
+def closed_form_velocity(n_alpha: int, n_beta: int, alpha, y) -> ClosedFormVelocity:
+    """Closed-form velocity for media with one or two strong rows per period."""
+    if n_beta not in (1, 2):
+        raise ValueError("closed forms are available for n_beta in {1, 2} only")
     alpha = as_fraction(alpha)
     y = as_fraction(y)
     if alpha <= 0 or y <= 0:
@@ -82,31 +85,13 @@ def _closed_form(n_alpha: int, n_beta: int, alpha, y) -> ClosedFormVelocity:
     if n_alpha < 1:
         raise ValueError("n_alpha must be positive")
     component = _component_nb1 if n_beta == 1 else _component_nb2
-    if (4 * alpha * y).denominator == 1:
-        half = Fraction(1, 8) / alpha
-        below, _ = component(n_alpha, alpha, y - half)
-        above, tag = component(n_alpha, alpha, y + half)
+    k, on_grid = jump_component(alpha, y)
+    if on_grid:
+        below, _ = component(n_alpha, alpha, component_midpoint(alpha, k - 1))
+        above, tag = component(n_alpha, alpha, component_midpoint(alpha, k))
         if below != above:
             raise SingularInputError(
                 f"y = {y} is a jump point: velocity is {below} below and {above} above")
         return ClosedFormVelocity(y=y, value=above, case=tag)
     value, tag = component(n_alpha, alpha, y)
     return ClosedFormVelocity(y=y, value=value, case=tag)
-
-
-def closed_form_velocity_nb1(n_alpha: int, alpha, y) -> ClosedFormVelocity:
-    """Closed-form velocity for media with one strong row per period."""
-    return _closed_form(n_alpha, 1, alpha, y)
-
-
-def closed_form_velocity_nb2(n_alpha: int, alpha, y) -> ClosedFormVelocity:
-    """Closed-form velocity for media with two strong rows per period."""
-    return _closed_form(n_alpha, 2, alpha, y)
-
-
-def closed_form_velocity(n_alpha: int, n_beta: int, alpha, y) -> ClosedFormVelocity:
-    if n_beta == 1:
-        return closed_form_velocity_nb1(n_alpha, alpha, y)
-    if n_beta == 2:
-        return closed_form_velocity_nb2(n_alpha, alpha, y)
-    raise ValueError("closed forms are available for n_beta in {1, 2} only")

@@ -14,10 +14,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .lattice import MediumSpec
-from .orbit import is_singular, pinning_threshold, run_orbit
+from .orbit import component_midpoint, jump_component, pinning_threshold, run_orbit
 from .rationals import as_fraction, rational_floor
-
-REGIMES = ("pinned", "vanishing", "mixed")
 
 
 def classify_regime(spec: MediumSpec, gamma, l1, l2) -> str:
@@ -37,27 +35,27 @@ def classify_regime(spec: MediumSpec, gamma, l1, l2) -> str:
 
 def velocity_of_length(spec: MediumSpec, gamma, length) -> Fraction:
     """Effective f at y = gamma / length, taking the component above at jump points."""
-    gamma = as_fraction(gamma)
-    length = as_fraction(length)
-    y = gamma / length
-    if is_singular(spec, y):
-        y = y + Fraction(1, 8) / spec.alpha
-    return run_orbit(spec, y).velocity
+    k, _ = jump_component(spec.alpha, as_fraction(gamma) / as_fraction(length))
+    return run_orbit(spec, component_midpoint(spec.alpha, k)).velocity
 
 
 def _next_change_length(spec: MediumSpec, gamma, length) -> Fraction:
-    """Largest side length below `length` at which f(gamma/L) changes value."""
-    gamma = as_fraction(gamma)
-    h = Fraction(1, 4) / spec.alpha
+    """Largest side length below `length` at which f(gamma/L) changes value.
+
+    Every step lands within (n_beta+1)/2 of its vertex 2*alpha*y - 1/2, so
+    on component j, at its midpoint, f >= (2j+1)/4 - (n_beta+2)/2: f must
+    have changed by component floor(2*f + 1/2) + n_beta + 2.
+    """
+    gamma, alpha = as_fraction(gamma), spec.alpha
     current = velocity_of_length(spec, gamma, length)
-    y = gamma / length
-    k = rational_floor(y / h)
     # y itself may sit on the grid; the next candidate is strictly above
-    y_next = (k + 1) * h
-    while True:
-        if velocity_of_length(spec, gamma, gamma / y_next) != current:
-            return gamma / y_next
-        y_next += h
+    k, _ = jump_component(alpha, gamma / as_fraction(length))
+    for j in range(k + 1, rational_floor(2 * current + Fraction(1, 2)) + spec.n_beta + 3):
+        # the grid point between components j - 1 and j
+        y_jump = (component_midpoint(alpha, j - 1) + component_midpoint(alpha, j)) / 2
+        if velocity_of_length(spec, gamma, gamma / y_jump) != current:
+            return gamma / y_jump
+    raise AssertionError(f"f = {current} failed to change within its band bound")
 
 
 @dataclass(frozen=True)

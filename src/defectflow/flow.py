@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .lattice import (AlphaRectangle, MediumSpec, homogeneous_medium, is_alpha_type,
-                      rect_dissipation, rect_perimeter_energy, rectangle_from_cells)
+                      rect_dissipation, rect_perimeter_energy)
 from .orbit import step_minimizer
 from .rationals import as_fraction
 
@@ -246,7 +246,7 @@ def run_flow(config: FlowConfig) -> FlowResult:
 
 
 def comparison_check(spec: MediumSpec, gamma, epsilon, inner: AlphaRectangle,
-                     outer, steps: int, mode: str = "contains",
+                     outer: AlphaRectangle, steps: int, mode: str = "contains",
                      delta_floor_cells: int = 1) -> bool:
     """Weak comparison between a homogeneous inner flow and the exact outer flow.
 
@@ -257,11 +257,6 @@ def comparison_check(spec: MediumSpec, gamma, epsilon, inner: AlphaRectangle,
     """
     gamma = as_fraction(gamma)
     epsilon = as_fraction(epsilon)
-    if hasattr(outer, "cells") and not isinstance(outer, AlphaRectangle):
-        rect = rectangle_from_cells(outer.cells)
-        if rect is None:
-            raise ValueError("outer set must be a full rectangle")
-        outer = rect
     if mode not in ("contains", "disjoint"):
         raise ValueError(f"unknown comparison mode {mode!r}")
     check = (lambda i, o: o.contains(i)) if mode == "contains" else \

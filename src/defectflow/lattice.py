@@ -8,12 +8,11 @@ inside the periodicity cell of the medium.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .rationals import as_fraction, format_rational, parse_rational
+from .rationals import as_fraction
 
 Cell = tuple[int, int]
 
@@ -92,18 +91,6 @@ class LatticeSet:
 
     def area(self) -> Fraction:
         return self.epsilon ** 2 * len(self.cells)
-
-    def to_json(self) -> str:
-        cells = sorted(self.cells)
-        return json.dumps({"epsilon": format_rational(self.epsilon),
-                           "cells": [list(c) for c in cells]})
-
-    @staticmethod
-    def from_json(text: str) -> "LatticeSet":
-        data = json.loads(text)
-        eps = parse_rational(data["epsilon"])
-        cells = frozenset((int(c[0]), int(c[1])) for c in data["cells"])
-        return LatticeSet(epsilon=eps, cells=cells)
 
 
 def lattice_set(epsilon, cells: Iterable[Cell]) -> LatticeSet:

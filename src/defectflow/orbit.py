@@ -20,10 +20,21 @@ class SingularInputError(ValueError):
     """Raised when an operation requires y off the singular grid."""
 
 
+def jump_component(alpha, y) -> tuple:
+    """Index k = floor(4*alpha*y) of the component of the jump grid
+    (1/(4*alpha))Z holding y, and whether y lies on the grid itself."""
+    s = 4 * as_fraction(alpha) * as_fraction(y)
+    return rational_floor(s), s.denominator == 1
+
+
+def component_midpoint(alpha, k: int) -> Fraction:
+    """Midpoint (2k+1)/(8*alpha) of component k of the jump grid."""
+    return Fraction(2 * k + 1, 8) / as_fraction(alpha)
+
+
 def is_singular(spec: MediumSpec, y) -> bool:
-    """True when y lies on the grid of velocity jump points, multiples of 1/(4*alpha)."""
-    y = as_fraction(y)
-    return (4 * spec.alpha * y).denominator == 1
+    """True when y lies on the grid of velocity jump points."""
+    return jump_component(spec.alpha, y)[1]
 
 
 def pinning_threshold(spec: MediumSpec, gamma) -> Fraction:
@@ -147,10 +158,10 @@ def effective_velocity(spec: MediumSpec, y) -> VelocityResult:
     y = as_fraction(y)
     if y <= 0:
         raise ValueError("y must be positive")
-    if is_singular(spec, y):
-        half = Fraction(1, 8 * spec.alpha.numerator) * spec.alpha.denominator
-        below = run_orbit(spec, y - half).velocity
-        above = run_orbit(spec, y + half).velocity
+    k, on_grid = jump_component(spec.alpha, y)
+    if on_grid:
+        below = run_orbit(spec, component_midpoint(spec.alpha, k - 1)).velocity
+        above = run_orbit(spec, component_midpoint(spec.alpha, k)).velocity
         value = below if below == above else None
         return VelocityResult(y=y, value=value, lower=below, upper=above, singular=True)
     trace = run_orbit(spec, y)

@@ -66,24 +66,6 @@ def mod_inverse(a: int, m: int) -> int | None:
     return x % m
 
 
-def euler_totient(m: int) -> int:
-    """Euler's totient by trial-division factorization."""
-    if m <= 0:
-        raise ValueError("totient needs a positive argument")
-    result = m
-    n = m
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            result -= result // p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        result -= result // n
-    return result
-
-
 def min_congruence_solution(a: int, c: int, m: int) -> int | None:
     """Smallest n >= 1 with a*n = c (mod m), or None when no solution exists."""
     if m <= 0:

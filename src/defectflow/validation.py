@@ -10,23 +10,15 @@ from fractions import Fraction
 
 from .closedform import closed_form_velocity
 from .lattice import MediumSpec
-from .orbit import effective_velocity, pinning_threshold, run_orbit
-from .rationals import as_fraction, rational_floor
+from .orbit import (component_midpoint, effective_velocity, jump_component,
+                    run_orbit)
+from .rationals import as_fraction
 
 
 def component_midpoints(alpha, y_max):
     """Midpoints of the components cut out by the jump grid, up to y_max."""
-    alpha = as_fraction(alpha)
-    y_max = as_fraction(y_max)
-    h = Fraction(1, 4) / alpha
-    out = []
-    k = 0
-    while True:
-        mid = (2 * k + 1) * h / 2
-        if mid > y_max:
-            return out
-        out.append(mid)
-        k += 1
+    return [mid for k in range(jump_component(alpha, y_max)[0] + 1)
+            if (mid := component_midpoint(alpha, k)) <= as_fraction(y_max)]
 
 
 def oracle_equivalence_failures(alphas=(Fraction(1), Fraction(1, 2), Fraction(3, 2)),
@@ -66,7 +58,6 @@ def invariant_failures():
         prev = None
         for y in component_midpoints(alpha, 8):
             res = effective_velocity(spec, y)
-            hom = rational_floor(2 * alpha * y)
             if abs(res.value - 2 * alpha * y) > Fraction(2 * n_beta + 1, 2):
                 fails.append(("band", n_alpha, n_beta, y, res.value))
             if y < thr_y and res.value != 0:

@@ -130,6 +130,18 @@ def test_simulate_rejects_non_alpha_rect(capsys):
     assert "error" in err
 
 
+def test_simulate_family_bound_error_exits_1(capsys):
+    # the exhaustive minimizer here is the empty set, which the family lacks
+    code, out, err = run_cli(
+        ["simulate", "--alpha", "1", "--n-alpha", "1", "--n-beta", "0",
+         "--epsilon", "1/10", "--steps", "2", "--rect", "0:9:0:9",
+         "--mode", "brute"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_output_to_file(tmp_path, capsys):
     out_file = tmp_path / "table.csv"
     code, out, _ = run_cli(
@@ -155,12 +167,6 @@ def test_deterministic_output(capsys):
     _, first, _ = run_cli(argv, capsys)
     _, second, _ = run_cli(argv, capsys)
     assert first == second
-
-
-def test_validate_checks_none(capsys):
-    code, out, _ = run_cli(["validate", "--checks", "none"], capsys)
-    assert code == 0
-    assert "PASS" in out
 
 
 def test_validate_small_sweep(capsys):

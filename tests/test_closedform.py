@@ -4,8 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from defectflow.closedform import (closed_form_velocity, closed_form_velocity_nb1,
-                                   closed_form_velocity_nb2, CASE_LABELS)
+from defectflow.closedform import closed_form_velocity, CASE_LABELS
 from defectflow.lattice import MediumSpec
 from defectflow.orbit import SingularInputError, run_orbit
 from defectflow.validation import component_midpoints, oracle_equivalence_failures
@@ -16,7 +15,7 @@ def test_nb1_example_formula():
     alpha = Fraction(1)
     y = Fraction(1, 8)
     while y <= 10:
-        res = closed_form_velocity_nb1(1, alpha, y)
+        res = closed_form_velocity(1, 1, alpha, y)
         assert res.value == 2 * ((alpha * y + Fraction(1, 4)).__floor__())
         y += Fraction(1, 4)
 
@@ -26,20 +25,20 @@ def test_nb2_example_formula():
     alpha = Fraction(1)
     y = Fraction(1, 8)
     while y <= 10:
-        res = closed_form_velocity_nb2(1, alpha, y)
+        res = closed_form_velocity(1, 2, alpha, y)
         assert res.value == 3 * ((2 * alpha * y / 3 + Fraction(1, 3)).__floor__())
         y += Fraction(1, 4)
 
 
 def test_singular_input_with_agreeing_sides():
     # f is continuous across y=1 here, so the value is still returned
-    res = closed_form_velocity_nb1(1, Fraction(1), Fraction(1))
+    res = closed_form_velocity(1, 1, Fraction(1), Fraction(1))
     assert res.value == 2
 
 
 def test_singular_input_at_jump_raises():
     with pytest.raises(SingularInputError):
-        closed_form_velocity_nb1(1, Fraction(1), Fraction(3, 4))
+        closed_form_velocity(1, 1, Fraction(1), Fraction(3, 4))
 
 
 def test_case_labels_are_known():
@@ -70,10 +69,10 @@ def test_congruence_data_consistency():
     for n_alpha in range(1, 10):
         m1, m2 = n_alpha + 1, n_alpha + 2
         for y in component_midpoints(Fraction(1), Fraction(12)):
-            r1 = closed_form_velocity_nb1(n_alpha, Fraction(1), y)
+            r1 = closed_form_velocity(n_alpha, 1, Fraction(1), y)
             if r1.case.n_bar is not None:
                 assert 1 <= r1.case.n_bar < m1
-            r2 = closed_form_velocity_nb2(n_alpha, Fraction(1), y)
+            r2 = closed_form_velocity(n_alpha, 2, Fraction(1), y)
             if r2.case.n_bar is not None:
                 assert 1 <= r2.case.n_bar < m2
 

@@ -1,12 +1,14 @@
 """Limit rectangle evolution: regimes and exact event-driven integration."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from defectflow.evolution import (RectState, classify_regime, integrate,
-                                  velocity_of_length)
+from defectflow.evolution import (RectState, _next_change_length, classify_regime,
+                                  integrate, velocity_of_length)
 from defectflow.lattice import MediumSpec, homogeneous_medium
+from defectflow.rationals import rational_floor
 
 SPEC11 = MediumSpec(alpha=1, beta=2, n_alpha=1, n_beta=1)
 
@@ -24,6 +26,35 @@ def test_velocity_of_length_uses_component_above_at_jumps():
     # L = 1 gives y = 1, a grid point; the component above has f = 4
     assert velocity_of_length(SPEC11, 1, Fraction(4, 7)) == 4
     assert velocity_of_length(SPEC11, 1, 1) == 2
+
+
+def _next_change_by_walk(spec, gamma, length):
+    # unbounded walk up the jump grid, one step of 1/(4*alpha) at a time
+    h = Fraction(1, 4) / spec.alpha
+    current = velocity_of_length(spec, gamma, length)
+    y_next = (rational_floor(gamma / length / h) + 1) * h
+    while velocity_of_length(spec, gamma, gamma / y_next) == current:
+        y_next += h
+    return gamma / y_next
+
+
+def test_next_change_length_matches_unbounded_walk():
+    rng = random.Random(20)
+    for n_beta in (0, 1, 2, 3):
+        for alpha in (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)):
+            spec = MediumSpec(alpha=alpha, beta=2 * alpha if n_beta else None,
+                              n_alpha=rng.randint(1, 4), n_beta=n_beta)
+            for case in range(16):
+                q = rng.randint(1, 4)
+                gamma = Fraction(rng.randint(1, 100 * q), q)
+                # y = gamma / length = j / (4 * alpha): on the grid for integer j
+                if case % 2 == 0:
+                    j = Fraction(rng.randint(1, 48))
+                else:
+                    j = rng.randint(0, 48) + Fraction(rng.randint(1, 6), 7)
+                length = gamma * 4 * alpha / j
+                assert _next_change_length(spec, gamma, length) == \
+                    _next_change_by_walk(spec, gamma, length)
 
 
 def test_unit_square_first_event():

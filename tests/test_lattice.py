@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from defectflow.lattice import (AlphaRectangle, LatticeSet, MediumSpec,
+from defectflow.lattice import (AlphaRectangle, MediumSpec,
                                 bond_coefficient, dissipation, homogeneous_medium,
                                 is_alpha_type, lattice_set, perimeter_energy,
                                 rect_dissipation, rect_perimeter_energy,
@@ -56,13 +56,6 @@ def test_homogeneous_bond_is_alpha_everywhere():
     hom = homogeneous_medium(Fraction(3, 2))
     for i in [(0, 0), (5, -3), (2, 7)]:
         assert bond_coefficient(hom, i, (i[0] + 1, i[1])) == Fraction(3, 2)
-
-
-def test_lattice_set_json_roundtrip():
-    s = lattice_set(Fraction(1, 3), [(0, 0), (2, -1), (1, 1)])
-    again = LatticeSet.from_json(s.to_json())
-    assert again == s
-    assert '"epsilon": "1/3"' in s.to_json()
 
 
 def test_perimeter_single_cell():

@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 
 from defectflow.lattice import MediumSpec, homogeneous_medium
-from defectflow.orbit import (SingularInputError, effective_velocity,
-                              homogeneous_velocity, is_singular,
-                              pinning_threshold, run_orbit, step_minimizer)
+from defectflow.orbit import (SingularInputError, component_midpoint,
+                              effective_velocity, homogeneous_velocity,
+                              is_singular, jump_component, pinning_threshold,
+                              run_orbit, step_minimizer)
 
 SPEC21 = MediumSpec(alpha=1, beta=2, n_alpha=2, n_beta=1)
 SPEC11 = MediumSpec(alpha=1, beta=2, n_alpha=1, n_beta=1)
@@ -21,6 +22,29 @@ def test_is_singular():
     half_alpha = MediumSpec(alpha=Fraction(1, 2), beta=1, n_alpha=1, n_beta=1)
     assert is_singular(half_alpha, Fraction(3, 2))
     assert not is_singular(half_alpha, Fraction(3, 4))
+    # the grid is (1/(4*alpha))Z: component k = floor(4*alpha*y)
+    assert jump_component(1, Fraction(3, 4)) == (3, True)
+    assert jump_component(1, Fraction(7, 8)) == (3, False)
+    assert jump_component(1, Fraction(1, 10)) == (0, False)
+    assert jump_component(1, 2) == (8, True)
+    assert jump_component(Fraction(1, 2), Fraction(3, 2)) == (3, True)
+    assert jump_component(Fraction(1, 2), Fraction(3, 4)) == (1, False)
+    assert jump_component(Fraction(1, 2), Fraction(1, 2)) == (1, True)
+    assert component_midpoint(1, 3) == Fraction(7, 8)
+    assert component_midpoint(Fraction(1, 2), 1) == Fraction(3, 4)
+    for alpha in (Fraction(1), Fraction(1, 2)):
+        for k in range(12):
+            assert jump_component(alpha, component_midpoint(alpha, k)) == (k, False)
+    # f is constant on each component, so its midpoint stands for all of it
+    rng = random.Random(8)
+    for spec in (SPEC11, SPEC21, half_alpha):
+        for _ in range(40):
+            y = Fraction(rng.randint(1, 300), rng.randint(1, 24))
+            k, on_grid = jump_component(spec.alpha, y)
+            if on_grid:
+                continue
+            mid = component_midpoint(spec.alpha, k)
+            assert effective_velocity(spec, y).value == effective_velocity(spec, mid).value
 
 
 def test_pinning_threshold():

@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from defectflow.rationals import (as_fraction, euler_totient, extended_gcd,
+from defectflow.rationals import (as_fraction, extended_gcd,
                                   format_rational, min_congruence_solution,
                                   mod_inverse, parse_rational, rational_floor)
 
@@ -69,17 +69,6 @@ def _totient_by_count(m):
     return sum(1 for k in range(1, m + 1) if gcd(k, m) == 1)
 
 
-def test_euler_totient_against_enumeration():
-    for m in range(1, 200):
-        assert euler_totient(m) == _totient_by_count(m)
-
-
-def test_euler_totient_known_values():
-    assert euler_totient(1) == 1
-    assert euler_totient(12) == 4
-    assert euler_totient(97) == 96
-
-
 def _min_solution_by_scan(a, c, m):
     for n in range(1, m + 1):
         if (a * n - c) % m == 0:
@@ -97,7 +86,7 @@ def test_min_congruence_solution_against_enumeration():
 def test_min_congruence_totient_cross_check():
     # in the coprime case the inverse is a^(phi(m)-1) mod m
     for m in range(2, 60):
-        phi = euler_totient(m)
+        phi = _totient_by_count(m)
         for a in range(1, m):
             if gcd(a, m) != 1:
                 continue
