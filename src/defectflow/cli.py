@@ -24,6 +24,9 @@ from .orbit import (SingularInputError, effective_velocity, homogeneous_velocity
                     is_singular, pinning_threshold, run_orbit)
 from .rationals import format_rational, parse_rational
 
+# velocity-table work grows with the row count; larger grids are refused
+_MAX_TABLE_ROWS = 10_000
+
 
 def _rational(text: str) -> Fraction:
     try:
@@ -79,6 +82,10 @@ def cmd_velocity_table(args) -> int:
     start, stop, step = args.y_grid
     if step <= 0:
         print("error: grid step must be positive", file=sys.stderr)
+        return 2
+    count = max(0, (stop - start) // step + 1)
+    if count > _MAX_TABLE_ROWS:
+        print(f"error: y grid has {count} rows, more than {_MAX_TABLE_ROWS}", file=sys.stderr)
         return 2
     rows = []
     y = start

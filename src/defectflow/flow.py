@@ -9,12 +9,14 @@ stepper preserves that class by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .lattice import (AlphaRectangle, MediumSpec, homogeneous_medium, is_alpha_type,
-                      rect_dissipation, rect_perimeter_energy)
+from .lattice import (AlphaRectangle, MediumSpec, _axis_terms, _sum_min_depth,
+                      homogeneous_medium, is_alpha_type, rect_dissipation,
+                      rect_perimeter_energy)
 from .orbit import step_minimizer
 from .rationals import as_fraction
 
@@ -160,6 +162,13 @@ def default_family(config: FlowConfig, current: AlphaRectangle) -> CandidateFami
     return CandidateFamily(base=current, max_offset=bound + 1)
 
 
+def _axis_candidates(spec: MediumSpec, lo: int, hi: int, top: int) -> list:
+    """Inward moves (a, b) in [0, top]^2 of the sides at lo and hi that leave a
+    row, each with the moved sides and their `_axis_terms`."""
+    return [(a, b, lo + a, hi - b, *_axis_terms(spec, lo + a, hi - b))
+            for a in range(top + 1) for b in range(min(top, hi - lo - a) + 1)]
+
+
 def brute_force_step(config: FlowConfig, current: AlphaRectangle,
                      family: Optional[CandidateFamily] = None) -> AlphaRectangle:
     """Minimize the exact functional over the candidate family.
@@ -169,22 +178,47 @@ def brute_force_step(config: FlowConfig, current: AlphaRectangle,
     """
     if family is None:
         family = default_family(config, current)
-    eps, tau, spec = config.epsilon, config.tau, config.spec
+    spec, base = config.spec, family.base
+    if not current.contains(base):
+        raise ValueError("inner rectangle must be nested in the reference")
+    # value / epsilon = alpha*bonds + (beta - alpha)*strong + (epsilon/gamma)*(const - kept),
+    # kept being the candidate's area plus depth sum; times the lcm of the
+    # denominators and less the constant, it ranks as an exact integer
+    weights = (spec.alpha, spec.beta - spec.alpha if spec.n_beta else Fraction(0),
+               config.epsilon / config.gamma)
+    scale = math.lcm(*(w.denominator for w in weights))
+    bond, strong, kept = (int(w * scale) for w in weights)
+    xs = _axis_candidates(spec, base.x_min, base.x_max, family.max_offset)
+    ys = _axis_candidates(spec, base.y_min, base.y_max, family.max_offset)
+    # rows[u][col[v]]: kept over the cells of current with x <= u, y <= v; each
+    # candidate's kept is four of these by inclusion-exclusion
+    a, b, c, d = current.x_min, current.x_max, current.y_min, current.y_max
+    cols = sorted({v for _, _, y0, y1, _, _ in ys for v in (y0 - 1, y1)})
+    col = {v: j for j, v in enumerate(cols)}
+    rows = {u: [kept * ((u - a + 1) * (v - c + 1)
+                        + _sum_min_depth(b - a + 1, d - c + 1, 0, b - u, 0, d - v))
+                for v in cols]
+            for u in {e for _, _, x0, x1, _, _ in xs for e in (x0 - 1, x1)}}
+    ys = [(db, dt, y1 - y0 + 1, sy, cy, col[y1], col[y0 - 1])
+          for db, dt, y0, y1, sy, cy in ys]
     best = None
-    for offsets, cand in family.candidates():
-        value = (rect_perimeter_energy(spec, cand, eps)
-                 + rect_dissipation(current, cand, eps, tau))
-        area = cand.width * cand.height
-        key = (value, area, offsets)
-        if best is None or key < best[0]:
-            best = (key, offsets, cand)
+    for dl, dr, x0, x1, sx, cx in xs:
+        w = x1 - x0 + 1
+        hi_row, lo_row = rows[x1], rows[x0 - 1]
+        for db, dt, h, sy, cy, j1, j0 in ys:
+            value = (2 * bond * (w + h) + strong * (sx * cy + sy * cx)
+                     - (hi_row[j1] - lo_row[j1] - hi_row[j0] + lo_row[j0]))
+            if best is None or value <= best[0]:
+                key = (value, w * h, (dl, dr, db, dt))
+                if best is None or key < best:
+                    best = key
     if best is None:
         raise ValueError("empty candidate family")
-    _, offsets, winner = best
+    offsets = dl, dr, db, dt = best[2]
     if any(off == family.max_offset for off in offsets):
         raise FamilyTooSmallError(
             f"minimizer at offsets {offsets} touches the family bound {family.max_offset}")
-    return winner
+    return AlphaRectangle(base.x_min + dl, base.x_max - dr, base.y_min + db, base.y_max - dt)
 
 
 @dataclass(frozen=True)

@@ -261,56 +261,60 @@ def is_alpha_type(spec: MediumSpec, rect: AlphaRectangle) -> bool:
 
 
 def _count_residues_upto(lo: int, hi: int, m: int, limit: int) -> int:
-    """Number of integers t in [lo, hi] with t mod m <= limit."""
-    if lo > hi:
-        return 0
-    if lo < 0:
-        shift = (-lo + m - 1) // m * m
-        lo += shift
-        hi += shift
+    """Number of integers t in [lo, hi] with t mod m <= limit, for 0 <= limit < m."""
 
-    def upto(n):
-        if n < 0:
-            return 0
+    def upto(n):  # the count over t <= n, offset by a constant
         return (n + 1) // m * (limit + 1) + min((n + 1) % m, limit + 1)
 
-    return upto(hi) - upto(lo - 1)
+    return max(0, upto(hi) - upto(lo - 1))
+
+
+def _axis_terms(spec: MediumSpec, lo: int, hi: int) -> tuple:
+    """How many of the sides at lo and hi strong bonds cross, and the strong
+    bond positions along one side spanning [lo, hi]."""
+    if spec.n_beta == 0:
+        return 0, 0
+    crossed = (not _low_side_alpha(spec, lo)) + (not _high_side_alpha(spec, hi))
+    return crossed, _count_residues_upto(lo, hi, spec.period, spec.n_beta)
 
 
 def rect_perimeter_energy(spec: MediumSpec, rect: AlphaRectangle, epsilon) -> Fraction:
     """Perimeter energy of a full rectangle, via residue counting."""
     epsilon = as_fraction(epsilon)
-    bonds = 2 * (rect.width + rect.height)
-    strong = 0
-    if spec.n_beta > 0:
-        m, nb = spec.period, spec.n_beta
-        if not _low_side_alpha(spec, rect.x_min):
-            strong += _count_residues_upto(rect.y_min, rect.y_max, m, nb)
-        if not _high_side_alpha(spec, rect.x_max):
-            strong += _count_residues_upto(rect.y_min, rect.y_max, m, nb)
-        if not _low_side_alpha(spec, rect.y_min):
-            strong += _count_residues_upto(rect.x_min, rect.x_max, m, nb)
-        if not _high_side_alpha(spec, rect.y_max):
-            strong += _count_residues_upto(rect.x_min, rect.x_max, m, nb)
-    energy = spec.alpha * bonds
+    sx, cx = _axis_terms(spec, rect.x_min, rect.x_max)
+    sy, cy = _axis_terms(spec, rect.y_min, rect.y_max)
+    # strong vertical sides span the y range, strong horizontal sides the x range
+    strong = sx * cy + sy * cx
+    energy = spec.alpha * 2 * (rect.width + rect.height)
     if strong:
         energy += (spec.beta - spec.alpha) * strong
     return epsilon * energy
 
 
-def _sum_min_depth(rect: AlphaRectangle, window: AlphaRectangle) -> int:
-    """Sum over window cells of the depth min(i - a, b - i, j - c, d - j) inside rect."""
-    total = 0
-    v = 1
-    while True:
-        x_lo = max(window.x_min, rect.x_min + v)
-        x_hi = min(window.x_max, rect.x_max - v)
-        y_lo = max(window.y_min, rect.y_min + v)
-        y_hi = min(window.y_max, rect.y_max - v)
-        if x_lo > x_hi or y_lo > y_hi:
-            break
-        total += (x_hi - x_lo + 1) * (y_hi - y_lo + 1)
-        v += 1
+def _sum_min_depth(width: int, height: int, dl: int, dr: int, db: int, dt: int) -> int:
+    """Sum of the depth min(i - a, b - i, j - c, d - j) over a window of [a..b] x [c..d].
+
+    The rectangle has the given width and height, and the window is it with
+    its sides moved inward by dl, dr, db, dt >= 0 (dl + dr = width leaves it
+    empty).  The window cells of depth at least v form a product of two
+    widths, each linear in v between the breakpoints dl, dr (db, dt), so the
+    sum over the levels v = 1..top is a few exact power sums.
+    """
+    top = min(width - 1 - max(dl, dr), (width - 1) // 2,
+              height - 1 - max(db, dt), (height - 1) // 2)
+    w, h = width - dl - dr, height - db - dt
+    total = w * h * top
+    # minus the sums over v <= top of (v - t)+ times the other width, plus
+    # those of (v - t)+ (v - u)+ for one breakpoint per axis
+    for t, other in ((dl, h), (dr, h), (db, w), (dt, w)):
+        n = top - t
+        if n > 0:
+            total -= other * n * (n + 1) // 2
+    for t in (dl, dr):
+        for u in (db, dt):
+            n = top - max(t, u)
+            if n > 0:
+                total += n * (n + 1) * (2 * n + 1 + 3 * abs(t - u)) // 6
     return total
 
 
@@ -321,9 +325,12 @@ def rect_dissipation(reference: AlphaRectangle, inner: Optional[AlphaRectangle],
     tau = as_fraction(tau)
     if inner is not None and not reference.contains(inner):
         raise ValueError("inner rectangle must be nested in the reference")
-    ref_total = reference.width * reference.height + _sum_min_depth(reference, reference)
+    width, height = reference.width, reference.height
+    ref_total = width * height + _sum_min_depth(width, height, 0, 0, 0, 0)
     if inner is None:
         in_total = 0
     else:
-        in_total = inner.width * inner.height + _sum_min_depth(reference, inner)
+        in_total = inner.width * inner.height + _sum_min_depth(
+            width, height, inner.x_min - reference.x_min, reference.x_max - inner.x_max,
+            inner.y_min - reference.y_min, reference.y_max - inner.y_max)
     return (ref_total - in_total) * epsilon ** 3 / tau

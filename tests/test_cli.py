@@ -50,6 +50,21 @@ def test_velocity_table_rejects_decimal(capsys):
     assert exc.value.code == 2
 
 
+def test_velocity_table_rejects_huge_grid(capsys):
+    code, out, err = run_cli(
+        ["velocity-table", *MEDIUM, "--y-grid", "1/8:100000:1/4"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "400000 rows" in err and "Traceback" not in err
+    # the cap is 10000 grid points; points with y <= 0 cost no orbit work
+    code, out, err = run_cli(
+        ["velocity-table", *MEDIUM, "--y-grid=-9999:0:1"], capsys)
+    assert code == 0 and out.count("\n") == 1
+    code, out, err = run_cli(
+        ["velocity-table", *MEDIUM, "--y-grid=-10000:0:1"], capsys)
+    assert code == 2 and "10001 rows" in err
+
+
 def test_orbit_csv(capsys):
     code, out, _ = run_cli(["orbit", *MEDIUM, "--y", "7/8"], capsys)
     assert code == 0

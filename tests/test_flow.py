@@ -3,9 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defectflow.flow import (CandidateFamily, FamilyTooSmallError, FlowConfig,
-                             brute_force_step, comparison_check,
+                             brute_force_step, comparison_check, default_family,
                              max_displacement_bound, per_side_step, run_flow,
                              side_displacements, side_residues)
 from defectflow.lattice import (AlphaRectangle, MediumSpec, homogeneous_medium,
@@ -125,6 +127,90 @@ def test_per_side_descends_energy():
         assert (rec.perimeter + rec.dissipation
                 <= rect_perimeter_energy(spec, prev, eps))
         prev = rec.rect
+
+
+def _scan_step(config, current, family):
+    """The exact Fraction functional over every candidate, ranked by (value, area, offsets)."""
+    best = None
+    for offsets, cand in family.candidates():
+        value = (rect_perimeter_energy(config.spec, cand, config.epsilon)
+                 + rect_dissipation(current, cand, config.epsilon, config.tau))
+        key = (value, cand.width * cand.height, offsets)
+        if best is None or key < best[0]:
+            best = (key, cand)
+    (_, _, offsets), winner = best
+    if family.max_offset in offsets:
+        return ("family too small", offsets)
+    return winner
+
+
+@st.composite
+def step_problems(draw):
+    n_beta = draw(st.integers(0, 3))
+    alpha = draw(st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3, 2)]))
+    if n_beta:
+        # beta = 2 alpha is the common test medium; the others are not
+        beta = alpha + draw(st.sampled_from([alpha, Fraction(1, 3), Fraction(5, 7)]))
+        spec = MediumSpec(alpha=alpha, beta=beta, n_alpha=draw(st.integers(1, 4)),
+                          n_beta=n_beta)
+    else:
+        spec = homogeneous_medium(alpha)
+    m = spec.period
+    width = draw(st.integers(4, 18))
+    height = width if draw(st.booleans()) else draw(st.integers(4, 18))
+    x0 = spec.n_beta + 1 + m * draw(st.integers(-3, 3))
+    y0 = spec.n_beta + 1 + m * draw(st.integers(-3, 3))
+    x1 = x0 + width - 1 - (x0 + width - 1 - (m - 1)) % m
+    y1 = y0 + height - 1 - (y0 + height - 1 - (m - 1)) % m
+    rect = AlphaRectangle(x0, max(x1, x0 + m - 1), y0, max(y1, y0 + m - 1))
+    # y = gamma / (height * epsilon) with a large denominator, so epsilon/gamma has one too
+    den = draw(st.integers(97, 9973))
+    y = Fraction(draw(st.integers(den // 4, 3 * den)), den)
+    eps = Fraction(1, draw(st.integers(5, 60)))
+    config = FlowConfig(spec=spec, gamma=y * rect.height * eps, epsilon=eps,
+                        initial=rect, steps=1, mode="brute_force")
+    family = default_family(config, rect)
+    if family.max_offset > 5 or draw(st.booleans()):
+        base = rect
+        if draw(st.booleans()) and min(rect.width, rect.height) > 2:
+            base = AlphaRectangle(rect.x_min + draw(st.integers(0, 1)), rect.x_max,
+                                  rect.y_min, rect.y_max - draw(st.integers(0, 1)))
+        family = CandidateFamily(base=base, max_offset=draw(st.integers(2, 5)))
+    return config, rect, family
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(step_problems())
+def test_brute_force_matches_fraction_scan(problem):
+    config, rect, family = problem
+    expected = _scan_step(config, rect, family)
+    try:
+        got = brute_force_step(config, rect, family)
+    except FamilyTooSmallError as exc:
+        assert expected[0] == "family too small", (expected, exc)
+        assert str(expected[1]) in str(exc)
+    else:
+        assert got == expected
+
+
+def test_brute_force_breaks_value_ties_by_area_then_offsets():
+    hom = homogeneous_medium(1)
+    # at gamma = 9/10 the shifts by one and by two cells tie in value: area decides
+    rect = AlphaRectangle(0, 29, 0, 29)
+    eps = Fraction(1, 30)
+    for gamma in (Fraction(3, 4), Fraction(9, 10), Fraction(7, 5)):
+        config = FlowConfig(spec=hom, gamma=gamma, epsilon=eps, initial=rect,
+                            steps=1, mode="brute_force")
+        family = CandidateFamily(base=rect, max_offset=4)
+        assert brute_force_step(config, rect, family) == _scan_step(config, rect, family)
+    # a 6 x 6 square collapses onto one of its four central cells, all of equal
+    # value and area: the smallest offsets (2, 3, 2, 3) decide
+    rect = AlphaRectangle(0, 5, 0, 5)
+    config = FlowConfig(spec=hom, gamma=Fraction(1, 2), epsilon=Fraction(1, 6),
+                        initial=rect, steps=1, mode="brute_force")
+    family = CandidateFamily(base=rect, max_offset=4)
+    assert brute_force_step(config, rect, family) == AlphaRectangle(2, 2, 2, 2) \
+        == _scan_step(config, rect, family)
 
 
 def test_family_too_small_raises():

@@ -1,10 +1,11 @@
 """Bond medium, lattice sets, and the perimeter/dissipation functionals."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from defectflow.lattice import (AlphaRectangle, MediumSpec,
+from defectflow.lattice import (AlphaRectangle, MediumSpec, _sum_min_depth,
                                 bond_coefficient, dissipation, homogeneous_medium,
                                 is_alpha_type, lattice_set, perimeter_energy,
                                 rect_dissipation, rect_perimeter_energy,
@@ -76,7 +77,8 @@ def test_rect_perimeter_matches_bond_loop():
     eps = Fraction(1, 7)
     for spec in (SPEC, MediumSpec(alpha=Fraction(1, 2), beta=3, n_alpha=1, n_beta=2),
                  homogeneous_medium(1)):
-        for bounds in [(0, 5, 0, 3), (1, 9, 2, 4), (3, 3, 5, 11), (2, 8, 1, 7)]:
+        for bounds in [(0, 5, 0, 3), (1, 9, 2, 4), (3, 3, 5, 11), (2, 8, 1, 7),
+                       (-7, -2, -5, 3), (-13, -13, -4, -1)]:
             rect = AlphaRectangle(*bounds)
             fast = rect_perimeter_energy(spec, rect, eps)
             slow = perimeter_energy(spec, rect.to_lattice_set(eps))
@@ -157,13 +159,74 @@ def test_dissipation_empty_reference():
 def test_rect_dissipation_matches_generic():
     eps = Fraction(1, 9)
     tau = Fraction(1, 9)
-    outer = AlphaRectangle(0, 14, 0, 10)
-    for inner in (AlphaRectangle(2, 12, 1, 9), AlphaRectangle(0, 14, 0, 10),
-                  AlphaRectangle(5, 7, 3, 4), None):
-        fast = rect_dissipation(outer, inner, eps, tau)
-        cand = lattice_set(eps, []) if inner is None else inner.to_lattice_set(eps)
-        slow = dissipation(outer.to_lattice_set(eps), cand, tau)
-        assert fast == slow
+    for outer, inners in (
+            (AlphaRectangle(0, 14, 0, 10),
+             (AlphaRectangle(2, 12, 1, 9), AlphaRectangle(0, 14, 0, 10),
+              AlphaRectangle(5, 7, 3, 4), AlphaRectangle(0, 0, 10, 10))),
+            (AlphaRectangle(3, 3, -2, 6), (AlphaRectangle(3, 3, 4, 6),)),
+            (AlphaRectangle(-1, 0, 4, 4), ()),
+            (AlphaRectangle(0, 7, 0, 8), (AlphaRectangle(0, 6, 5, 8),))):
+        for inner in inners + (None,):
+            fast = rect_dissipation(outer, inner, eps, tau)
+            cand = lattice_set(eps, []) if inner is None else inner.to_lattice_set(eps)
+            slow = dissipation(outer.to_lattice_set(eps), cand, tau)
+            assert fast == slow, (outer, inner)
+
+
+def _sum_min_depth_by_levels(rect, window):
+    """Level-by-level depth sum: count the window cells of depth >= v, v = 1, 2, ..."""
+    total = 0
+    v = 1
+    while True:
+        x_lo = max(window.x_min, rect.x_min + v)
+        x_hi = min(window.x_max, rect.x_max - v)
+        y_lo = max(window.y_min, rect.y_min + v)
+        y_hi = min(window.y_max, rect.y_max - v)
+        if x_lo > x_hi or y_lo > y_hi:
+            break
+        total += (x_hi - x_lo + 1) * (y_hi - y_lo + 1)
+        v += 1
+    return total
+
+
+def _check_depth_sum(rect, dl, dr, db, dt):
+    window = AlphaRectangle(rect.x_min + dl, rect.x_max - dr, rect.y_min + db, rect.y_max - dt)
+    assert (_sum_min_depth(rect.width, rect.height, dl, dr, db, dt)
+            == _sum_min_depth_by_levels(rect, window)), (rect, dl, dr, db, dt)
+
+
+def test_sum_min_depth_matches_levels_exhaustively():
+    # every nested window of every rectangle up to 8 x 8: windows equal to the
+    # rectangle, one-cell-wide rectangles, windows touching any subset of the
+    # edges and offsets beyond half the width all occur
+    for width in range(1, 9):
+        for height in range(1, 9):
+            rect = AlphaRectangle(-3, width - 4, 2, height + 1)
+            # an empty window (dl + dr = width or db + dt = height) sums to 0
+            for cut in range(width + 1):
+                assert _sum_min_depth(width, height, cut, width - cut, 0, height // 2) == 0
+            for cut in range(height + 1):
+                assert _sum_min_depth(width, height, 0, 0, height - cut, cut) == 0
+            for dl in range(width):
+                for dr in range(width - dl):
+                    for db in range(height):
+                        for dt in range(height - db):
+                            _check_depth_sum(rect, dl, dr, db, dt)
+
+
+def test_sum_min_depth_matches_levels_seeded():
+    rng = random.Random(20100)
+    for _ in range(400):
+        width, height = rng.randint(1, 90), rng.randint(1, 90)
+        x0, y0 = rng.randint(-50, 50), rng.randint(-50, 50)
+        rect = AlphaRectangle(x0, x0 + width - 1, y0, y0 + height - 1)
+        # offsets small, up to half the width, or anywhere
+        dl = rng.randint(0, rng.choice((min(3, width - 1), (width - 1) // 2, width - 1)))
+        dr = rng.randint(0, width - 1 - dl)
+        db = rng.randint(0, rng.choice((min(3, height - 1), (height - 1) // 2, height - 1)))
+        dt = rng.randint(0, height - 1 - db)
+        _check_depth_sum(rect, dl, dr, db, dt)
+        _check_depth_sum(rect, 0, 0, 0, 0)
 
 
 def test_total_functional_translation_invariance():
