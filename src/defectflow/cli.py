@@ -314,6 +314,10 @@ def main(argv=None) -> int:
     except FamilyTooSmallError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except AssertionError as exc:
+        # a bounded loop (an orbit or the event walk) ran past its bound
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

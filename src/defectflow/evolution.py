@@ -39,22 +39,34 @@ def velocity_of_length(spec: MediumSpec, gamma, length) -> Fraction:
     return run_orbit(spec, component_midpoint(spec.alpha, k)).velocity
 
 
-def _next_change_length(spec: MediumSpec, gamma, length) -> Fraction:
+def _component_velocities(spec: MediumSpec, gamma: Fraction):
+    """Lookup k -> f on jump-grid component k, evaluating each component once."""
+    table = {}
+
+    def f(k: int) -> Fraction:
+        if k not in table:
+            table[k] = velocity_of_length(spec, gamma, gamma / component_midpoint(spec.alpha, k))
+        return table[k]
+    return f
+
+
+def _next_change_length(spec: MediumSpec, gamma, length, f=None) -> Fraction:
     """Largest side length below `length` at which f(gamma/L) changes value.
 
+    `f` maps a jump-grid component to its velocity (a fresh lookup if None).
     Every step lands within (n_beta+1)/2 of its vertex 2*alpha*y - 1/2, so
     on component j, at its midpoint, f >= (2j+1)/4 - (n_beta+2)/2: f must
     have changed by component floor(2*f + 1/2) + n_beta + 2.
     """
     gamma, alpha = as_fraction(gamma), spec.alpha
-    current = velocity_of_length(spec, gamma, length)
+    f = f or _component_velocities(spec, gamma)
     # y itself may sit on the grid; the next candidate is strictly above
     k, _ = jump_component(alpha, gamma / as_fraction(length))
+    current = f(k)
     for j in range(k + 1, rational_floor(2 * current + Fraction(1, 2)) + spec.n_beta + 3):
-        # the grid point between components j - 1 and j
-        y_jump = (component_midpoint(alpha, j - 1) + component_midpoint(alpha, j)) / 2
-        if velocity_of_length(spec, gamma, gamma / y_jump) != current:
-            return gamma / y_jump
+        # the grid point y = j / (4*alpha) between components j - 1 and j
+        if f(j) != current:
+            return 4 * alpha * gamma / j
     raise AssertionError(f"f = {current} failed to change within its band bound")
 
 
@@ -139,9 +151,10 @@ def integrate(spec: MediumSpec, gamma, initial: RectState, t_max,
     segments = []
     extinction_window = None
     stop_reason = "t_max"
+    f = _component_velocities(spec, gamma)
     for _ in range(max_events):
-        f1 = velocity_of_length(spec, gamma, l2)  # drives side 1
-        f2 = velocity_of_length(spec, gamma, l1)
+        f1 = f(jump_component(spec.alpha, gamma / l2)[0])  # drives side 1
+        f2 = f(jump_component(spec.alpha, gamma / l1)[0])
         s1 = -2 * f1 / gamma
         s2 = -2 * f2 / gamma
         if s1 == 0 and s2 == 0:
@@ -151,7 +164,7 @@ def integrate(spec: MediumSpec, gamma, initial: RectState, t_max,
         dt = None
         for length, slope in ((l1, s1), (l2, s2)):
             if slope < 0:
-                target = _next_change_length(spec, gamma, length)
+                target = _next_change_length(spec, gamma, length, f)
                 cand = (length - target) / (-slope)
                 if dt is None or cand < dt:
                     dt = cand

@@ -122,13 +122,14 @@ def max_displacement_bound(spec: MediumSpec, gamma, rect: AlphaRectangle, epsilo
     """A priori bound on how far any side can move in one step.
 
     A displacement N only pays off when (N - n_beta)^2 <= 4*alpha*gamma*N/L
-    with L the shorter physical side length.
+    with L the shorter physical side length.  Those N form an interval
+    holding n_beta, so the walk to its upper end starts there.
     """
     gamma = as_fraction(gamma)
     epsilon = as_fraction(epsilon)
     length = min(rect.width, rect.height) * epsilon
     rhs_scale = 4 * spec.alpha * gamma / length
-    n = 0
+    n = spec.n_beta
     while (n + 1 - spec.n_beta) ** 2 <= rhs_scale * (n + 1):
         n += 1
     return n

@@ -157,6 +157,30 @@ def test_simulate_family_bound_error_exits_1(capsys):
     assert "Traceback" not in err
 
 
+def test_simulate_brute_family_bound_with_three_defect_rows(capsys):
+    # for n_beta >= 2 the family bound must not stop below n_beta
+    code, out, err = run_cli(
+        ["simulate", "--alpha", "1", "--beta", "2", "--n-alpha", "2",
+         "--n-beta", "3", "--gamma", "39/40", "--epsilon", "1/20", "--steps", "1",
+         "--rect", "4:24:4:29", "--mode", "brute"], capsys)
+    assert (code, err) == (0, "")
+    assert out.strip().split("\n")[1] == "1,5,23,5,28,1,1,1,1,43/10,3/13"
+
+
+@pytest.mark.parametrize("module, argv", [
+    ("defectflow.cli", ["orbit", *MEDIUM, "--y", "7/8"]),
+    ("defectflow.evolution", ["evolve", *MEDIUM, "--l1", "1", "--l2", "1",
+                              "--t-max", "1"]),
+])
+def test_internal_assertion_exits_1_without_traceback(monkeypatch, capsys, module, argv):
+    def broken(*args, **kwargs):
+        raise AssertionError("orbit failed to close within the pigeonhole bound")
+    monkeypatch.setattr(f"{module}.run_orbit", broken)
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: internal: orbit failed to close within the pigeonhole bound\n"
+
+
 def test_output_to_file(tmp_path, capsys):
     out_file = tmp_path / "table.csv"
     code, out, _ = run_cli(

@@ -4,10 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from defectflow import evolution
 from defectflow.evolution import (RectState, _next_change_length, classify_regime,
                                   integrate, velocity_of_length)
 from defectflow.lattice import MediumSpec, homogeneous_medium
+from defectflow.orbit import jump_component, pinning_threshold
 from defectflow.rationals import rational_floor
 
 SPEC11 = MediumSpec(alpha=1, beta=2, n_alpha=1, n_beta=1)
@@ -55,6 +59,54 @@ def test_next_change_length_matches_unbounded_walk():
                 length = gamma * 4 * alpha / j
                 assert _next_change_length(spec, gamma, length) == \
                     _next_change_by_walk(spec, gamma, length)
+
+
+def test_integrate_evaluates_each_component_once(monkeypatch):
+    seen = []
+    direct = evolution.velocity_of_length
+
+    def counted(spec, gamma, length):
+        seen.append(jump_component(spec.alpha, Fraction(gamma) / length)[0])
+        return direct(spec, gamma, length)
+    monkeypatch.setattr(evolution, "velocity_of_length", counted)
+    traj = integrate(SPEC11, 1, RectState(l1=1, l2=1), t_max=2)
+    assert len(seen) == len(set(seen))
+    for seg in traj.segments:
+        assert jump_component(1, 1 / seg.l1_start)[0] in seen
+
+
+@st.composite
+def limit_flow_case(draw):
+    # the regime bands of the bench's limit_flow evolve jobs
+    n_beta = draw(st.integers(0, 3))
+    alpha = draw(st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3, 2)]))
+    spec = MediumSpec(alpha=alpha, beta=2 * alpha if n_beta else None,
+                      n_alpha=draw(st.integers(1, 8)), n_beta=n_beta)
+    gamma = Fraction(draw(st.integers(4, 400)), 4)
+    thr = pinning_threshold(spec, gamma)
+    # each side below (16..63) or above (65..192) the threshold, in 64ths
+    factor = st.one_of(st.integers(16, 63), st.integers(65, 192))
+    l1, l2 = (thr * Fraction(draw(factor), 64) for _ in range(2))
+    t_max = max(l1, l2) ** 2 / (8 * alpha) * Fraction(draw(st.integers(16, 128)), 64)
+    return spec, gamma, l1, l2, t_max
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(limit_flow_case())
+def test_integrate_events_match_direct_velocity_lookups(case):
+    spec, gamma, l1, l2, t_max = case
+    traj = integrate(spec, gamma, RectState(l1=l1, l2=l2), t_max=t_max)
+
+    def f(length):
+        return velocity_of_length(spec, gamma, length)
+    for seg in traj.segments:
+        assert (seg.slope1, seg.slope2) == (-2 * f(seg.l2_start) / gamma,
+                                            -2 * f(seg.l1_start) / gamma)
+        mid1, mid2 = seg.lengths_at((seg.t_start + seg.t_end) / 2)
+        assert (f(mid1), f(mid2)) == (f(seg.l1_start), f(seg.l2_start))
+    for seg, nxt in zip(traj.segments, traj.segments[1:]):
+        assert seg.lengths_at(seg.t_end) == (nxt.l1_start, nxt.l2_start)
+        assert (f(nxt.l1_start), f(nxt.l2_start)) != (f(seg.l1_start), f(seg.l2_start))
 
 
 def test_unit_square_first_event():

@@ -92,6 +92,18 @@ def test_max_displacement_bound_contains_actual_steps():
     assert all(d[s][0] <= bound for s in d)
 
 
+@pytest.mark.parametrize("n_beta", [0, 1, 2, 3])
+@pytest.mark.parametrize("rhs", [Fraction(1, 3), Fraction(2, 3), Fraction(1),
+                                 Fraction(3, 2), Fraction(5), Fraction(37, 4)])
+def test_max_displacement_bound_is_largest_paying_displacement(n_beta, rhs):
+    # a 10-cell side at epsilon 1/10 has L = 1, so R = 4*alpha*gamma = rhs
+    spec = MediumSpec(alpha=1, beta=2 if n_beta else None, n_alpha=2, n_beta=n_beta)
+    rect = AlphaRectangle(0, 9, 0, 14)
+    bound = max_displacement_bound(spec, rhs / 4, rect, Fraction(1, 10))
+    paying = [n for n in range(201) if (n - n_beta) ** 2 <= rhs * n]
+    assert bound == max(paying)
+
+
 def test_brute_force_matches_per_side_in_good_regime():
     rect = alpha_square(SPEC21, 40)
     eps = Fraction(1, 20)
