@@ -16,12 +16,10 @@ from .flow import (CandidateFamily, FamilyTooSmallError, FlowConfig, FlowResult,
 from .lattice import (AlphaRectangle, LatticeSet, MediumSpec, bond_coefficient,
                       dissipation, homogeneous_medium, is_alpha_type, lattice_set,
                       perimeter_energy, rect_dissipation, rect_perimeter_energy,
-                      rectangle_from_cells, total_functional)
+                      total_functional)
 from .orbit import (OrbitTrace, SingularInputError, VelocityResult,
                     effective_velocity, homogeneous_velocity, is_singular,
                     pinning_threshold, run_orbit, step_minimizer)
-from .rationals import (as_fraction, extended_gcd, format_rational,
-                        min_congruence_solution, mod_inverse, parse_rational,
-                        rational_floor)
+from .rationals import as_fraction, format_rational, parse_rational, rational_floor
 
 __version__ = "0.1.0"

@@ -17,11 +17,11 @@ import sys
 from fractions import Fraction
 
 from .closedform import closed_form_velocity
-from .evolution import RectState, classify_regime, integrate
+from .evolution import RectState, integrate
 from .flow import FamilyTooSmallError, FlowConfig, run_flow
 from .lattice import AlphaRectangle, MediumSpec
 from .orbit import (SingularInputError, effective_velocity, homogeneous_velocity,
-                    is_singular, pinning_threshold, run_orbit)
+                    run_orbit)
 from .rationals import format_rational, parse_rational
 
 # velocity-table work grows with the row count; larger grids are refused
@@ -111,8 +111,7 @@ def cmd_velocity_table(args) -> int:
                 "f_lower": _fr(res.lower), "f_upper": _fr(res.upper),
                 "singular": "true" if res.singular else "false",
                 "M": "" if res.period_steps is None else res.period_steps,
-                "n": "" if res.period_cells is None else res.period_cells // spec.period
-                     if spec.period else "",
+                "n": "" if res.period_cells is None else res.period_cells // spec.period,
                 "homogeneous_f": _fr(hom),
                 "case_label": label, "trend": trend,
             })
@@ -128,10 +127,10 @@ def cmd_velocity_table(args) -> int:
 
 def cmd_orbit(args) -> int:
     spec = _medium(args)
-    if args.y <= 0:
-        print("error: y must be positive", file=sys.stderr)
-        return 2
-    if is_singular(spec, args.y):
+    try:
+        # run_orbit checks x0 before refusing a y on the jump grid
+        trace = run_orbit(spec, args.y, args.x0)
+    except SingularInputError:
         res = effective_velocity(spec, args.y)
         payload = {"y": _fr(args.y), "singular": True,
                    "f_lower": _fr(res.lower), "f_upper": _fr(res.upper)}
@@ -142,7 +141,6 @@ def cmd_orbit(args) -> int:
                                        [[payload["y"], "true",
                                          payload["f_lower"], payload["f_upper"]]]))
         return 0
-    trace = run_orbit(spec, args.y, args.x0)
     if args.format == "json":
         payload = {"y": _fr(args.y), "x0": args.x0, "singular": False,
                    "positions": list(trace.positions), "steps": list(trace.steps),
@@ -253,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--out", default="-")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--gamma", type=_rational, default=Fraction(1))
 
     p = sub.add_parser("velocity-table", help="effective velocity over a y grid")
     _add_medium_args(p)
@@ -272,6 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evolve", help="limit rectangle evolution")
     _add_medium_args(p)
     common(p)
+    p.add_argument("--gamma", type=_rational, default=Fraction(1))
     p.add_argument("--l1", type=_rational, required=True)
     p.add_argument("--l2", type=_rational, required=True)
     p.add_argument("--t-max", type=_rational, required=True)
@@ -280,6 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="discrete rectangle flow at a given epsilon")
     _add_medium_args(p)
     common(p)
+    p.add_argument("--gamma", type=_rational, default=Fraction(1))
     p.add_argument("--epsilon", type=_rational, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--mode", choices=("per-side", "brute"), default="per-side")
@@ -302,9 +301,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SingularInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,7 +13,7 @@ from math import gcd
 from typing import Optional
 
 from .orbit import SingularInputError, component_midpoint, jump_component
-from .rationals import as_fraction, min_congruence_solution, rational_floor
+from .rationals import as_fraction, rational_floor
 
 CASE_LABELS = ("a1_decel", "a1_accel", "a2_no_defect", "b", "c")
 
@@ -44,11 +44,12 @@ def _component_nb1(n_alpha: int, alpha: Fraction, y: Fraction):
     k = big_n % m
     if jump_component(alpha, y)[0] % 2 == 0:
         # lower of the two jump components with this N: the defect slows the side down
-        n_min = min_congruence_solution(big_n, 1, m)
+        n_min = pow(big_n, -1, m)
         k_min = (n_min * big_n - 1) // m
         label = "b" if k == n_alpha else "a1_decel"
         return big_n - Fraction(1, n_min), CaseTag(label=label, k_min=k_min, n_bar=n_min)
-    n_bar = min_congruence_solution(big_n, n_alpha, m)
+    # n_alpha = -1 (mod m): the smallest n with big_n * n = -1
+    n_bar = m - pow(big_n, -1, m)
     k_bar = (n_bar * big_n - n_alpha) // m
     label = "c" if k == n_alpha else "a1_accel"
     return big_n + Fraction(1, n_bar), CaseTag(label=label, n_bar=n_bar, k_bar=k_bar)
@@ -61,7 +62,7 @@ def _component_nb2(n_alpha: int, alpha: Fraction, y: Fraction):
     if gcd(big_n, m) != 1:
         return Fraction(big_n), CaseTag(label="a2_no_defect")
     k = big_n % m
-    t = min_congruence_solution(big_n, 1, m)
+    t = pow(big_n, -1, m)
     if 2 * t < m:
         # after slipping back one row the defect recurs every t steps
         k_min = (t * big_n - 1) // m

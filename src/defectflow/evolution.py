@@ -17,6 +17,9 @@ from .lattice import MediumSpec
 from .orbit import component_midpoint, jump_component, pinning_threshold, run_orbit
 from .rationals import as_fraction, rational_floor
 
+# integration gives up (stop_reason "max_events") after this many segments
+_MAX_EVENTS = 100000
+
 
 def classify_regime(spec: MediumSpec, gamma, l1, l2) -> str:
     """Pinned when both sides exceed the critical length, vanishing when the
@@ -50,18 +53,17 @@ def _component_velocities(spec: MediumSpec, gamma: Fraction):
     return f
 
 
-def _next_change_length(spec: MediumSpec, gamma, length, f=None) -> Fraction:
+def _next_change_length(spec: MediumSpec, gamma, length, f) -> Fraction:
     """Largest side length below `length` at which f(gamma/L) changes value.
 
-    `f` maps a jump-grid component to its velocity (a fresh lookup if None).
+    `f` maps a jump-grid component to its velocity.
     Every step lands within (n_beta+1)/2 of its vertex 2*alpha*y - 1/2, so
     on component j, at its midpoint, f >= (2j+1)/4 - (n_beta+2)/2: f must
     have changed by component floor(2*f + 1/2) + n_beta + 2.
     """
-    gamma, alpha = as_fraction(gamma), spec.alpha
-    f = f or _component_velocities(spec, gamma)
+    alpha = spec.alpha
     # y itself may sit on the grid; the next candidate is strictly above
-    k, _ = jump_component(alpha, gamma / as_fraction(length))
+    k, _ = jump_component(alpha, gamma / length)
     current = f(k)
     for j in range(k + 1, rational_floor(2 * current + Fraction(1, 2)) + spec.n_beta + 3):
         # the grid point y = j / (4*alpha) between components j - 1 and j
@@ -74,12 +76,10 @@ def _next_change_length(spec: MediumSpec, gamma, length, f=None) -> Fraction:
 class RectState:
     l1: Fraction
     l2: Fraction
-    t: Fraction = Fraction(0)
 
     def __post_init__(self):
         object.__setattr__(self, "l1", as_fraction(self.l1))
         object.__setattr__(self, "l2", as_fraction(self.l2))
-        object.__setattr__(self, "t", as_fraction(self.t))
         if self.l1 <= 0 or self.l2 <= 0:
             raise ValueError("side lengths must be positive")
 
@@ -139,20 +139,19 @@ def _tail_bound(spec: MediumSpec, gamma, l1, l2) -> Fraction:
     return s * s * (spec.n_beta + 2) / (2 * spec.alpha * (2 * spec.n_beta + 3))
 
 
-def integrate(spec: MediumSpec, gamma, initial: RectState, t_max,
-              max_events: int = 100000) -> RectTrajectory:
-    """Integrate the rectangle law exactly until t_max, pinning, or collapse."""
+def integrate(spec: MediumSpec, gamma, initial: RectState, t_max) -> RectTrajectory:
+    """Integrate the rectangle law exactly from t = 0 until t_max, pinning, or collapse."""
     gamma = as_fraction(gamma)
     t_max = as_fraction(t_max)
     regime = classify_regime(spec, gamma, initial.l1, initial.l2)
-    t, l1, l2 = initial.t, initial.l1, initial.l2
-    if t_max <= t:
-        raise ValueError("t_max must exceed the initial time")
+    if t_max <= 0:
+        raise ValueError("t_max must be positive")
+    t, l1, l2 = Fraction(0), initial.l1, initial.l2
     segments = []
     extinction_window = None
     stop_reason = "t_max"
     f = _component_velocities(spec, gamma)
-    for _ in range(max_events):
+    for _ in range(_MAX_EVENTS):
         f1 = f(jump_component(spec.alpha, gamma / l2)[0])  # drives side 1
         f2 = f(jump_component(spec.alpha, gamma / l1)[0])
         s1 = -2 * f1 / gamma

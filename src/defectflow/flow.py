@@ -231,7 +231,6 @@ class StepRecord:
     displacements: dict
     perimeter: Fraction
     dissipation: Fraction
-    tie_sides: tuple
 
 
 @dataclass(frozen=True)
@@ -251,9 +250,9 @@ def run_flow(config: FlowConfig) -> FlowResult:
         if min(current.width, current.height) <= config.delta_floor_cells:
             stop_reason = "floor"
             break
-        disp = side_displacements(config.spec, config.gamma, config.epsilon,
-                                  current, config.tie_break)
         if config.mode == "per_side":
+            disp = side_displacements(config.spec, config.gamma, config.epsilon,
+                                      current, config.tie_break)
             nxt = _shift(current, {s: disp[s][0] for s in SIDES})
         else:
             nxt = brute_force_step(config, current)
@@ -272,7 +271,6 @@ def run_flow(config: FlowConfig) -> FlowResult:
             displacements=moved,
             perimeter=rect_perimeter_energy(config.spec, nxt, config.epsilon),
             dissipation=rect_dissipation(current, nxt, config.epsilon, config.tau),
-            tie_sides=tuple(s for s in SIDES if disp[s][1]),
         ))
         rects.append(nxt)
         current = nxt
@@ -281,8 +279,7 @@ def run_flow(config: FlowConfig) -> FlowResult:
 
 
 def comparison_check(spec: MediumSpec, gamma, epsilon, inner: AlphaRectangle,
-                     outer: AlphaRectangle, steps: int, mode: str = "contains",
-                     delta_floor_cells: int = 1) -> bool:
+                     outer: AlphaRectangle, steps: int, mode: str = "contains") -> bool:
     """Weak comparison between a homogeneous inner flow and the exact outer flow.
 
     The inner rectangle evolves in the all-alpha medium with the
@@ -300,11 +297,9 @@ def comparison_check(spec: MediumSpec, gamma, epsilon, inner: AlphaRectangle,
         return False
     homog = homogeneous_medium(spec.alpha)
     inner_cfg = FlowConfig(spec=homog, gamma=gamma, epsilon=epsilon, initial=inner,
-                           steps=0, tie_break="large",
-                           delta_floor_cells=delta_floor_cells)
+                           steps=0, tie_break="large")
     outer_cfg = FlowConfig(spec=spec, gamma=gamma, epsilon=epsilon, initial=outer,
-                           steps=0, mode="brute_force",
-                           delta_floor_cells=delta_floor_cells)
+                           steps=0, mode="brute_force")
     cur_in, cur_out = inner, outer
     for _ in range(steps):
         cur_in = per_side_step(inner_cfg, cur_in)

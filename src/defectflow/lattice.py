@@ -226,18 +226,6 @@ class AlphaRectangle:
                 or self.y_max < other.y_min or other.y_max < self.y_min)
 
 
-def rectangle_from_cells(cells) -> Optional[AlphaRectangle]:
-    """The bounding rectangle if the cell set fills it exactly, else None."""
-    if not cells:
-        return None
-    xs = [c[0] for c in cells]
-    ys = [c[1] for c in cells]
-    rect = AlphaRectangle(min(xs), max(xs), min(ys), max(ys))
-    if rect.width * rect.height != len(cells):
-        return None
-    return rect
-
-
 def _low_side_alpha(spec: MediumSpec, coord: int) -> bool:
     # boundary line just below/left of `coord`; strong bonds can cross it
     # only when the residue falls inside the strong band

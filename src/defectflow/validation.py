@@ -22,15 +22,14 @@ def component_midpoints(alpha, y_max):
 
 
 def oracle_equivalence_failures(alphas=(Fraction(1), Fraction(1, 2), Fraction(3, 2)),
-                                n_alpha_max=12, n_betas=(1, 2),
-                                inject_mismatch=False):
+                                n_alpha_max=12, inject_mismatch=False):
     """Compare closed forms against orbit velocities on the midpoint grid.
 
     Returns a list of (n_alpha, n_beta, alpha, y, closed, orbit) mismatches.
     """
     fails = []
     injected = not inject_mismatch
-    for n_beta in n_betas:
+    for n_beta in (1, 2):
         for n_alpha in range(1, n_alpha_max + 1):
             for alpha in alphas:
                 alpha = as_fraction(alpha)
@@ -52,8 +51,7 @@ def invariant_failures():
     fails = []
     alpha = Fraction(1)
     for n_alpha, n_beta in ((1, 1), (2, 1), (3, 2), (4, 3)):
-        beta = Fraction(3) if n_beta else None
-        spec = MediumSpec(alpha=alpha, beta=beta, n_alpha=n_alpha, n_beta=n_beta)
+        spec = MediumSpec(alpha=alpha, beta=Fraction(3), n_alpha=n_alpha, n_beta=n_beta)
         thr_y = Fraction(n_beta + 2, 4) / alpha
         prev = None
         for y in component_midpoints(alpha, 8):

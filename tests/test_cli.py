@@ -87,6 +87,11 @@ def test_orbit_rejects_nonpositive_y(capsys):
     code, _, err = run_cli(["orbit", *MEDIUM, "--y=-1/2"], capsys)
     assert code == 2
     assert "positive" in err
+    # an out-of-range x0 is refused whether or not y is on the jump grid
+    for y in ("3/4", "7/8"):
+        code, out, err = run_cli(["orbit", *MEDIUM, "--y", y, "--x0", "99"], capsys)
+        assert (code, out) == (2, "")
+        assert "x0 must lie in [0, 2)" in err
 
 
 def test_evolve_json_unit_square(capsys):

@@ -66,15 +66,23 @@ def test_case_labels_match_velocity_side():
 
 
 def test_congruence_data_consistency():
+    # the defect recurs every n_bar steps: the smallest n >= 1 with N*n = 1
+    # (mod m) where the defect slows the side down, N*n = -1 where it speeds up
+    branches = set()
     for n_alpha in range(1, 10):
-        m1, m2 = n_alpha + 1, n_alpha + 2
-        for y in component_midpoints(Fraction(1), Fraction(12)):
-            r1 = closed_form_velocity(n_alpha, 1, Fraction(1), y)
-            if r1.case.n_bar is not None:
-                assert 1 <= r1.case.n_bar < m1
-            r2 = closed_form_velocity(n_alpha, 2, Fraction(1), y)
-            if r2.case.n_bar is not None:
-                assert 1 <= r2.case.n_bar < m2
+        for n_beta in (1, 2):
+            m = n_alpha + n_beta
+            for y in component_midpoints(Fraction(1), Fraction(12)):
+                case = closed_form_velocity(n_alpha, n_beta, Fraction(1), y).case
+                if case.n_bar is None:
+                    continue
+                assert 1 <= case.n_bar < m
+                big_n = (2 * y).__floor__()
+                c = 1 if case.k_min is not None else -1
+                scan = next(n for n in range(1, m + 1) if (big_n * n - c) % m == 0)
+                assert case.n_bar == scan
+                branches.add((n_beta, c))
+    assert branches == {(1, 1), (1, -1), (2, 1), (2, -1)}
 
 
 def test_matches_orbit_small_grid():

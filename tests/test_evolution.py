@@ -57,7 +57,8 @@ def test_next_change_length_matches_unbounded_walk():
                 else:
                     j = rng.randint(0, 48) + Fraction(rng.randint(1, 6), 7)
                 length = gamma * 4 * alpha / j
-                assert _next_change_length(spec, gamma, length) == \
+                f = evolution._component_velocities(spec, gamma)
+                assert _next_change_length(spec, gamma, length, f) == \
                     _next_change_by_walk(spec, gamma, length)
 
 

@@ -9,7 +9,7 @@ from defectflow.lattice import (AlphaRectangle, MediumSpec, _sum_min_depth,
                                 bond_coefficient, dissipation, homogeneous_medium,
                                 is_alpha_type, lattice_set, perimeter_energy,
                                 rect_dissipation, rect_perimeter_energy,
-                                rectangle_from_cells, total_functional)
+                                total_functional)
 
 SPEC = MediumSpec(alpha=1, beta=2, n_alpha=2, n_beta=1)
 
@@ -260,8 +260,6 @@ def test_alpha_rectangle_helpers():
     assert rect.width == rect.height == 10
     assert is_alpha_type(SPEC, rect)
     assert not is_alpha_type(SPEC, AlphaRectangle(1, 11, 2, 11))
-    assert rectangle_from_cells(rect.cells()) == rect
-    assert rectangle_from_cells(rect.cells() - {(5, 5)}) is None
     with pytest.raises(ValueError):
         AlphaRectangle(3, 2, 0, 0)
 
