@@ -55,9 +55,7 @@ def _parse_grid(text: str):
 
 
 def _fr(q) -> str:
-    if q is None:
-        return ""
-    return format_rational(q)
+    return "" if q is None else format_rational(q)
 
 
 def _write(out_path: str, text: str):
@@ -68,25 +66,27 @@ def _write(out_path: str, text: str):
             fh.write(text)
 
 
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    for row in rows:
-        w.writerow(row)
-    return buf.getvalue()
+def _emit(args, header, rows, payload) -> int:
+    """Write payload as JSON or header and rows as CSV, as --format asks."""
+    if args.format == "json":
+        _write(args.out, json.dumps(payload, sort_keys=True) + "\n")
+    else:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+        _write(args.out, buf.getvalue())
+    return 0
 
 
 def cmd_velocity_table(args) -> int:
     spec = _medium(args)
     start, stop, step = args.y_grid
     if step <= 0:
-        print("error: grid step must be positive", file=sys.stderr)
-        return 2
+        raise ValueError("grid step must be positive")
     count = max(0, (stop - start) // step + 1)
     if count > _MAX_TABLE_ROWS:
-        print(f"error: y grid has {count} rows, more than {_MAX_TABLE_ROWS}", file=sys.stderr)
-        return 2
+        raise ValueError(f"y grid has {count} rows, more than {_MAX_TABLE_ROWS}")
+    header = ["y", "f", "f_lower", "f_upper", "singular", "M", "n",
+              "homogeneous_f", "case_label", "trend"]
     rows = []
     y = start
     while y <= stop:
@@ -106,23 +106,17 @@ def cmd_velocity_table(args) -> int:
                 trend = "decel"
             else:
                 trend = "equal"
-            rows.append({
-                "y": _fr(y), "f": _fr(res.value),
-                "f_lower": _fr(res.lower), "f_upper": _fr(res.upper),
-                "singular": "true" if res.singular else "false",
-                "M": "" if res.period_steps is None else res.period_steps,
-                "n": "" if res.period_cells is None else res.period_cells // spec.period,
-                "homogeneous_f": _fr(hom),
-                "case_label": label, "trend": trend,
-            })
+            rows.append([
+                _fr(y), _fr(res.value), _fr(res.lower), _fr(res.upper),
+                "true" if res.singular else "false",
+                "" if res.period_steps is None else res.period_steps,
+                "" if res.period_cells is None else res.period_cells // spec.period,
+                _fr(hom), label, trend])
         y += step
-    header = ["y", "f", "f_lower", "f_upper", "singular", "M", "n",
-              "homogeneous_f", "case_label", "trend"]
-    if args.format == "json":
-        _write(args.out, json.dumps(rows, indent=None, sort_keys=False) + "\n")
-    else:
-        _write(args.out, _csv_text(header, [[r[h] for h in header] for r in rows]))
-    return 0
+    if args.format == "json":  # a list of rows with their keys in column order
+        _write(args.out, json.dumps([dict(zip(header, row)) for row in rows]) + "\n")
+        return 0
+    return _emit(args, header, rows, None)
 
 
 def cmd_orbit(args) -> int:
@@ -132,61 +126,36 @@ def cmd_orbit(args) -> int:
         trace = run_orbit(spec, args.y, args.x0)
     except SingularInputError:
         res = effective_velocity(spec, args.y)
-        payload = {"y": _fr(args.y), "singular": True,
-                   "f_lower": _fr(res.lower), "f_upper": _fr(res.upper)}
-        if args.format == "json":
-            _write(args.out, json.dumps(payload, sort_keys=True) + "\n")
-        else:
-            _write(args.out, _csv_text(["y", "singular", "f_lower", "f_upper"],
-                                       [[payload["y"], "true",
-                                         payload["f_lower"], payload["f_upper"]]]))
-        return 0
-    if args.format == "json":
-        payload = {"y": _fr(args.y), "x0": args.x0, "singular": False,
-                   "positions": list(trace.positions), "steps": list(trace.steps),
-                   "pre_period": trace.pre_period,
-                   "period_steps": trace.period_steps,
-                   "period_cells": trace.period_cells,
-                   "velocity": _fr(trace.velocity)}
-        _write(args.out, json.dumps(payload, sort_keys=True) + "\n")
-    else:
-        rows = []
-        for k, pos in enumerate(trace.positions):
-            step = trace.steps[k] if k < len(trace.steps) else ""
-            rows.append([k, pos, step, trace.pre_period, trace.period_steps,
-                         trace.period_cells, _fr(trace.velocity)])
-        _write(args.out, _csv_text(
-            ["k", "position", "step", "pre_period", "period_steps",
-             "period_cells", "velocity"], rows))
-    return 0
+        row = [_fr(args.y), "true", _fr(res.lower), _fr(res.upper)]
+        header = ["y", "singular", "f_lower", "f_upper"]
+        return _emit(args, header, [row], dict(zip(header, row), singular=True))
+    steps, velocity = trace.steps, _fr(trace.velocity)
+    # a generator: only the CSV output reads the rows
+    rows = ([k, pos, steps[k] if k < len(steps) else "", trace.pre_period,
+             trace.period_steps, trace.period_cells, velocity]
+            for k, pos in enumerate(trace.positions))
+    payload = {"y": _fr(args.y), "x0": args.x0, "singular": False,
+               "positions": list(trace.positions), "steps": list(steps),
+               "pre_period": trace.pre_period, "period_steps": trace.period_steps,
+               "period_cells": trace.period_cells, "velocity": velocity}
+    return _emit(args, ["k", "position", "step", "pre_period", "period_steps",
+                        "period_cells", "velocity"], rows, payload)
 
 
 def cmd_evolve(args) -> int:
     spec = _medium(args)
     if args.l1 <= 0 or args.l2 <= 0 or args.t_max <= 0:
-        print("error: l1, l2, t_max must be positive", file=sys.stderr)
-        return 2
+        raise ValueError("l1, l2, t_max must be positive")
     traj = integrate(spec, args.gamma, RectState(l1=args.l1, l2=args.l2),
                      t_max=args.t_max)
-    if args.format == "json":
-        payload = {
-            "regime": traj.regime,
-            "stop_reason": traj.stop_reason,
-            "extinction_window": None if traj.extinction_window is None
-            else [_fr(traj.extinction_window[0]), _fr(traj.extinction_window[1])],
-            "segments": [
-                {"t_start": _fr(s.t_start), "t_end": _fr(s.t_end),
-                 "l1_start": _fr(s.l1_start), "l2_start": _fr(s.l2_start),
-                 "slope1": _fr(s.slope1), "slope2": _fr(s.slope2)}
-                for s in traj.segments],
-        }
-        _write(args.out, json.dumps(payload, sort_keys=True) + "\n")
-    else:
-        rows = [[_fr(s.t_start), _fr(s.t_end), _fr(s.l1_start), _fr(s.l2_start),
-                 _fr(s.slope1), _fr(s.slope2)] for s in traj.segments]
-        _write(args.out, _csv_text(
-            ["t_start", "t_end", "l1_start", "l2_start", "slope1", "slope2"], rows))
-    return 0
+    header = ["t_start", "t_end", "l1_start", "l2_start", "slope1", "slope2"]
+    rows = [[_fr(s.t_start), _fr(s.t_end), _fr(s.l1_start), _fr(s.l2_start),
+             _fr(s.slope1), _fr(s.slope2)] for s in traj.segments]
+    window = traj.extinction_window
+    payload = {"regime": traj.regime, "stop_reason": traj.stop_reason,
+               "extinction_window": None if window is None else [_fr(t) for t in window],
+               "segments": [dict(zip(header, row)) for row in rows]}
+    return _emit(args, header, rows, payload)
 
 
 def _parse_rect(text: str) -> AlphaRectangle:
@@ -203,38 +172,24 @@ def _parse_rect(text: str) -> AlphaRectangle:
 def cmd_simulate(args) -> int:
     spec = _medium(args)
     mode = "per_side" if args.mode == "per-side" else "brute_force"
-    try:
-        config = FlowConfig(spec=spec, gamma=args.gamma, epsilon=args.epsilon,
-                            initial=args.rect, steps=args.steps, mode=mode,
-                            delta_floor_cells=args.floor)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config = FlowConfig(spec=spec, gamma=args.gamma, epsilon=args.epsilon,
+                        initial=args.rect, steps=args.steps, mode=mode)
     result = run_flow(config)
-    rows = []
-    for rec in result.records:
-        r = rec.rect
-        rows.append([rec.step, r.x_min, r.x_max, r.y_min, r.y_max,
-                     rec.displacements["left"], rec.displacements["right"],
-                     rec.displacements["bottom"], rec.displacements["top"],
-                     _fr(rec.perimeter), _fr(rec.dissipation)])
+    sides = ("left", "right", "bottom", "top")
+    rows = [[rec.step, rec.rect.x_min, rec.rect.x_max, rec.rect.y_min, rec.rect.y_max,
+             *(rec.displacements[s] for s in sides), _fr(rec.perimeter), _fr(rec.dissipation)]
+            for rec in result.records]
     header = ["step", "x_min", "x_max", "y_min", "y_max",
               "d_left", "d_right", "d_bottom", "d_top", "perimeter", "dissipation"]
-    if args.format == "json":
-        payload = {"stop_reason": result.stop_reason,
-                   "rows": [dict(zip(header, row)) for row in rows]}
-        _write(args.out, json.dumps(payload, sort_keys=True) + "\n")
-    else:
-        _write(args.out, _csv_text(header, rows))
-    return 0
+    return _emit(args, header, rows, {"stop_reason": result.stop_reason,
+                                      "rows": [dict(zip(header, row)) for row in rows]})
 
 
 def cmd_validate(args) -> int:
     # imported here: only validate needs it, and every CLI start pays for imports
     from .validation import invariant_failures, oracle_equivalence_failures
 
-    fails = oracle_equivalence_failures(n_alpha_max=args.n_alpha_max,
-                                        inject_mismatch=args.inject_mismatch)
+    fails = oracle_equivalence_failures(n_alpha_max=args.n_alpha_max)
     print(f"FAIL oracle_equivalence: {len(fails)} mismatches, first: {fails[0]}"
           if fails else "PASS oracle_equivalence")
     inv = invariant_failures()
@@ -284,13 +239,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("per-side", "brute"), default="per-side")
     p.add_argument("--rect", type=_parse_rect, required=True,
                    metavar="XMIN:XMAX:YMIN:YMAX")
-    p.add_argument("--floor", type=int, default=4)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("validate", help="cross-check closed forms against orbits")
     p.add_argument("--n-alpha-max", type=int, default=12)
-    p.add_argument("--inject-mismatch", action="store_true",
-                   help="deliberately corrupt one comparison (harness self-test)")
     p.set_defaults(func=cmd_validate)
 
     return parser

@@ -2,9 +2,9 @@
 
 Two steppers are provided: a per-side stepper that moves each of the four
 sides by the one-dimensional minimizer, and a brute-force stepper that
-minimizes the exact functional over a family of nested rectangles.  Both act
-on rectangles whose boundary bonds are all weak (alpha-type); the per-side
-stepper preserves that class by construction.
+minimizes the exact functional over a family of nested rectangles and the
+empty set.  Both act on rectangles whose boundary bonds are all weak
+(alpha-type); the per-side stepper preserves that class by construction.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from .lattice import (AlphaRectangle, MediumSpec, _axis_terms, _sum_min_depth,
 from .orbit import step_minimizer
 from .rationals import as_fraction
 
-SIDES = ("left", "right", "bottom", "top")
+# run_flow stops once the shorter side has at most this many cells
+_FLOOR_CELLS = 4
 
 
 class FamilyTooSmallError(RuntimeError):
@@ -42,7 +43,6 @@ class FlowConfig:
     initial: AlphaRectangle
     steps: int
     mode: str = "per_side"
-    delta_floor_cells: int = 4
     tie_break: str = "small"
 
     def __post_init__(self):
@@ -64,48 +64,36 @@ class FlowConfig:
         return self.gamma * self.epsilon
 
 
-def side_residues(spec: MediumSpec, rect: AlphaRectangle) -> dict:
-    """Residue of each side in the coordinates of the one-dimensional scheme.
-
-    A displacement d of a side is admissible exactly when residue + d lands
-    in [0, n_alpha) modulo the period, matching step_minimizer.
-    """
-    m = spec.period
-    off = spec.n_beta + 1
-    return {
-        "left": (rect.x_min - off) % m,
-        "right": (m - 1 - rect.x_max) % m,
-        "bottom": (rect.y_min - off) % m,
-        "top": (m - 1 - rect.y_max) % m,
-    }
-
-
 def side_displacements(spec: MediumSpec, gamma, epsilon, rect: AlphaRectangle,
                        tie_break: str = "small") -> dict:
     """One-dimensional minimizing displacement for each side of the rectangle.
 
     Vertical sides see y = gamma / height, horizontal sides y = gamma / width
-    (physical lengths).  Ties are resolved by tie_break.
+    (physical lengths).  A side at residue r may move by d when r + d lands in
+    [0, n_alpha) modulo the period.  Each side maps to (displacement, tie): the
+    step_minimizer choice picked by tie_break, and whether it had a choice.
     """
     gamma = as_fraction(gamma)
     epsilon = as_fraction(epsilon)
-    residues = side_residues(spec, rect)
+    m, off = spec.period, spec.n_beta + 1
     y_vertical = gamma / (rect.height * epsilon)
     y_horizontal = gamma / (rect.width * epsilon)
     pick = min if tie_break == "small" else max
     out = {}
-    for side in SIDES:
-        y = y_vertical if side in ("left", "right") else y_horizontal
-        choices = step_minimizer(spec, y, residues[side])
+    for side, y, residue in (("left", y_vertical, rect.x_min - off),
+                             ("right", y_vertical, m - 1 - rect.x_max),
+                             ("bottom", y_horizontal, rect.y_min - off),
+                             ("top", y_horizontal, m - 1 - rect.y_max)):
+        choices = step_minimizer(spec, y, residue % m)
         out[side] = (pick(choices), len(choices) > 1)
     return out
 
 
-def _shift(rect: AlphaRectangle, d: dict) -> Optional[AlphaRectangle]:
-    x_min = rect.x_min + d["left"]
-    x_max = rect.x_max - d["right"]
-    y_min = rect.y_min + d["bottom"]
-    y_max = rect.y_max - d["top"]
+def _per_side(config: FlowConfig, current: AlphaRectangle) -> Optional[AlphaRectangle]:
+    d = side_displacements(config.spec, config.gamma, config.epsilon,
+                           current, config.tie_break)
+    x_min, x_max = current.x_min + d["left"][0], current.x_max - d["right"][0]
+    y_min, y_max = current.y_min + d["bottom"][0], current.y_max - d["top"][0]
     if x_min > x_max or y_min > y_max:
         return None
     return AlphaRectangle(x_min, x_max, y_min, y_max)
@@ -113,9 +101,8 @@ def _shift(rect: AlphaRectangle, d: dict) -> Optional[AlphaRectangle]:
 
 def per_side_step(config: FlowConfig, current: AlphaRectangle) -> Optional[AlphaRectangle]:
     """Advance one step moving each side independently; None signals extinction."""
-    disp = side_displacements(config.spec, config.gamma, config.epsilon,
-                              current, config.tie_break)
-    return _shift(current, {s: disp[s][0] for s in SIDES})
+    # run_flow calls _per_side, so a wrapper of this name counts no run_flow step
+    return _per_side(config, current)
 
 
 def max_displacement_bound(spec: MediumSpec, gamma, rect: AlphaRectangle, epsilon) -> int:
@@ -171,11 +158,12 @@ def _axis_candidates(spec: MediumSpec, lo: int, hi: int, top: int) -> list:
 
 
 def brute_force_step(config: FlowConfig, current: AlphaRectangle,
-                     family: Optional[CandidateFamily] = None) -> AlphaRectangle:
-    """Minimize the exact functional over the candidate family.
+                     family: Optional[CandidateFamily] = None) -> Optional[AlphaRectangle]:
+    """Minimize the exact functional over the candidate family and the empty set.
 
-    Ties go to the candidate of smallest measure, then lexicographic offsets.
-    If the winner touches the family boundary the family was too small.
+    Ties go to the candidate of smallest measure, then lexicographic offsets;
+    None means the empty set won.  If a winning rectangle touches the family
+    boundary the family was too small.
     """
     if family is None:
         family = default_family(config, current)
@@ -184,7 +172,7 @@ def brute_force_step(config: FlowConfig, current: AlphaRectangle,
         raise ValueError("inner rectangle must be nested in the reference")
     # value / epsilon = alpha*bonds + (beta - alpha)*strong + (epsilon/gamma)*(const - kept),
     # kept being the candidate's area plus depth sum; times the lcm of the
-    # denominators and less the constant, it ranks as an exact integer
+    # denominators and less the constant, it ranks as an exact integer; the empty set scores 0
     weights = (spec.alpha, spec.beta - spec.alpha if spec.n_beta else Fraction(0),
                config.epsilon / config.gamma)
     scale = math.lcm(*(w.denominator for w in weights))
@@ -202,19 +190,19 @@ def brute_force_step(config: FlowConfig, current: AlphaRectangle,
             for u in {e for _, _, x0, x1, _, _ in xs for e in (x0 - 1, x1)}}
     ys = [(db, dt, y1 - y0 + 1, sy, cy, col[y1], col[y0 - 1])
           for db, dt, y0, y1, sy, cy in ys]
-    best = None
+    best = (0, 0, None)  # the empty set, of measure 0, wins ties
     for dl, dr, x0, x1, sx, cx in xs:
         w = x1 - x0 + 1
         hi_row, lo_row = rows[x1], rows[x0 - 1]
         for db, dt, h, sy, cy, j1, j0 in ys:
             value = (2 * bond * (w + h) + strong * (sx * cy + sy * cx)
                      - (hi_row[j1] - lo_row[j1] - hi_row[j0] + lo_row[j0]))
-            if best is None or value <= best[0]:
+            if value <= best[0]:
                 key = (value, w * h, (dl, dr, db, dt))
-                if best is None or key < best:
+                if key < best:
                     best = key
-    if best is None:
-        raise ValueError("empty candidate family")
+    if best[2] is None:
+        return None
     offsets = dl, dr, db, dt = best[2]
     if any(off == family.max_offset for off in offsets):
         raise FamilyTooSmallError(
@@ -242,20 +230,16 @@ class FlowResult:
 
 def run_flow(config: FlowConfig) -> FlowResult:
     """Run the configured number of steps, stopping at extinction or the size floor."""
+    step = _per_side if config.mode == "per_side" else brute_force_step
     current = config.initial
     rects = [current]
     records = []
     stop_reason = "steps"
     for k in range(config.steps):
-        if min(current.width, current.height) <= config.delta_floor_cells:
+        if min(current.width, current.height) <= _FLOOR_CELLS:
             stop_reason = "floor"
             break
-        if config.mode == "per_side":
-            disp = side_displacements(config.spec, config.gamma, config.epsilon,
-                                      current, config.tie_break)
-            nxt = _shift(current, {s: disp[s][0] for s in SIDES})
-        else:
-            nxt = brute_force_step(config, current)
+        nxt = step(config, current)
         if nxt is None:
             stop_reason = "extinction"
             break
@@ -286,6 +270,7 @@ def comparison_check(spec: MediumSpec, gamma, epsilon, inner: AlphaRectangle,
     smallest-measure tie break; the outer one by exact minimization in the
     given medium.  mode 'contains' checks inner stays inside outer; mode
     'disjoint' checks a shrinking obstacle never touches the inner rectangle.
+    A vanished outer set is disjoint from everything and contains nothing.
     """
     gamma = as_fraction(gamma)
     epsilon = as_fraction(epsilon)
@@ -306,6 +291,8 @@ def comparison_check(spec: MediumSpec, gamma, epsilon, inner: AlphaRectangle,
         if cur_in is None:
             return True
         cur_out = brute_force_step(outer_cfg, cur_out)
+        if cur_out is None:  # the outer flow vanished while the inner one lives
+            return mode == "disjoint"
         if not check(cur_in, cur_out):
             return False
     return True

@@ -60,14 +60,13 @@ def bond_coefficient(spec: MediumSpec, i: Cell, j: Cell) -> Fraction:
     """Coefficient of the bond between neighboring cells i and j.
 
     The bond is strong (beta) exactly when its midpoint, reduced modulo the
-    period, has both coordinates in [0, n_beta].
+    period, has both coordinates in [0, n_beta]: never when n_beta = 0, as
+    one doubled coordinate of a midpoint is odd.
     """
     dx = abs(i[0] - j[0])
     dy = abs(i[1] - j[1])
     if dx + dy != 1:
         raise ValueError(f"cells {i} and {j} are not nearest neighbors")
-    if spec.n_beta == 0:
-        return spec.alpha
     m2 = 2 * spec.period
     rx = (i[0] + j[0]) % m2
     ry = (i[1] + j[1]) % m2
@@ -229,15 +228,11 @@ class AlphaRectangle:
 def _low_side_alpha(spec: MediumSpec, coord: int) -> bool:
     # boundary line just below/left of `coord`; strong bonds can cross it
     # only when the residue falls inside the strong band
-    if spec.n_beta == 0:
-        return True
     r = coord % spec.period
     return not (1 <= r <= spec.n_beta)
 
 
 def _high_side_alpha(spec: MediumSpec, coord: int) -> bool:
-    if spec.n_beta == 0:
-        return True
     r = coord % spec.period
     return r >= spec.n_beta
 
@@ -260,8 +255,6 @@ def _count_residues_upto(lo: int, hi: int, m: int, limit: int) -> int:
 def _axis_terms(spec: MediumSpec, lo: int, hi: int) -> tuple:
     """How many of the sides at lo and hi strong bonds cross, and the strong
     bond positions along one side spanning [lo, hi]."""
-    if spec.n_beta == 0:
-        return 0, 0
     crossed = (not _low_side_alpha(spec, lo)) + (not _high_side_alpha(spec, hi))
     return crossed, _count_residues_upto(lo, hi, spec.period, spec.n_beta)
 

@@ -21,26 +21,20 @@ def component_midpoints(alpha, y_max):
             if (mid := component_midpoint(alpha, k)) <= as_fraction(y_max)]
 
 
-def oracle_equivalence_failures(alphas=(Fraction(1), Fraction(1, 2), Fraction(3, 2)),
-                                n_alpha_max=12, inject_mismatch=False):
+def oracle_equivalence_failures(n_alpha_max=12):
     """Compare closed forms against orbit velocities on the midpoint grid.
 
     Returns a list of (n_alpha, n_beta, alpha, y, closed, orbit) mismatches.
     """
     fails = []
-    injected = not inject_mismatch
     for n_beta in (1, 2):
         for n_alpha in range(1, n_alpha_max + 1):
-            for alpha in alphas:
-                alpha = as_fraction(alpha)
+            for alpha in (Fraction(1), Fraction(1, 2), Fraction(3, 2)):
                 spec = MediumSpec(alpha=alpha, beta=2 * alpha,
                                   n_alpha=n_alpha, n_beta=n_beta)
                 for y in component_midpoints(alpha, 20 / alpha):
                     closed = closed_form_velocity(n_alpha, n_beta, alpha, y).value
                     orbit = run_orbit(spec, y).velocity
-                    if not injected:
-                        injected = True
-                        closed = closed + 1
                     if closed != orbit:
                         fails.append((n_alpha, n_beta, alpha, y, closed, orbit))
     return fails

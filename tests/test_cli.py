@@ -1,12 +1,18 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
+import dataclasses
+import hashlib
 import json
 
 import pytest
 
 from defectflow.cli import main
+from defectflow.closedform import closed_form_velocity
 
 MEDIUM = ["--alpha", "1", "--beta", "2", "--n-alpha", "1", "--n-beta", "1"]
+M21 = ["--alpha", "1", "--beta", "2", "--n-alpha", "2", "--n-beta", "1"]
+M23 = ["--alpha", "3/2", "--beta", "3", "--n-alpha", "2", "--n-beta", "3"]
+HOM = ["--alpha", "1", "--n-alpha", "1", "--n-beta", "0"]
 
 
 def run_cli(argv, capsys):
@@ -150,16 +156,16 @@ def test_simulate_rejects_non_alpha_rect(capsys):
     assert "error" in err
 
 
-def test_simulate_family_bound_error_exits_1(capsys):
-    # the exhaustive minimizer here is the empty set, which the family lacks
-    code, out, err = run_cli(
-        ["simulate", "--alpha", "1", "--n-alpha", "1", "--n-beta", "0",
-         "--epsilon", "1/10", "--steps", "2", "--rect", "0:9:0:9",
-         "--mode", "brute"], capsys)
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error:")
-    assert "Traceback" not in err
+def test_simulate_brute_empty_set_is_extinction(capsys):
+    # the exhaustive minimizer is the empty set: 11/5 against 51/20 for the
+    # best rectangle in the first case, 172/77 against 134/55 in the second
+    for argv in (["--epsilon", "1/10", "--steps", "2", "--rect", "0:9:0:9"],
+                 ["--gamma", "77/160", "--epsilon", "1/20", "--steps", "1",
+                  "--rect", "1:15:1:11"]):
+        code, out, err = run_cli(["simulate", *HOM, *argv, "--mode", "brute",
+                                  "--format", "json"], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"rows": [], "stop_reason": "extinction"}
 
 
 def test_simulate_brute_family_bound_with_three_defect_rows(capsys):
@@ -220,14 +226,108 @@ def test_validate_small_sweep(capsys):
     assert "PASS invariants" in out
 
 
-def test_validate_injected_mismatch_fails(capsys):
-    code, out, _ = run_cli(
-        ["validate", "--n-alpha-max", "4", "--inject-mismatch"], capsys)
+def test_validate_injected_mismatch_fails(monkeypatch, capsys):
+    from defectflow import validation
+
+    def off_by_one(*args):
+        exact = closed_form_velocity(*args)
+        return dataclasses.replace(exact, value=exact.value + 1)
+
+    monkeypatch.setattr(validation, "closed_form_velocity", off_by_one)
+    code, out, _ = run_cli(["validate", "--n-alpha-max", "4"], capsys)
     assert code == 1
     assert "FAIL oracle_equivalence" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", *HOM, "--epsilon", "1/10", "--steps", "1", "--rect", "0:9:0:9",
+     "--floor", "2"],
+    ["validate", "--n-alpha-max", "1", "--inject-mismatch"],
+])
+def test_removed_options_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_missing_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+# sha256 of "rc\nstdout\nstderr" (stderr left out when argparse exits), first
+# 16 hex digits: every subcommand in both formats, a singular orbit, a floor
+# stop, an extinction, and exits 1 and 2
+PINNED = [
+    (["velocity-table", *MEDIUM, "--y-grid", "1/8:21/8:1/4"], "d7967293f0330ec5"),
+    (["velocity-table", *MEDIUM, "--y-grid", "1/8:21/8:1/4", "--format", "json"],
+     "ec1fd3c900acb1c0"),
+    (["velocity-table", *M23, "--y-grid", "1/8:3:1/3"], "8a2dd66332a857b8"),
+    (["velocity-table", *M23, "--y-grid", "1/8:3:1/3", "--format", "json"],
+     "cc20d749729dd4d4"),
+    (["velocity-table", *MEDIUM, "--y-grid", "1/8:9/8:0"], "3ae5c04837fa2fd2"),
+    (["velocity-table", *MEDIUM, "--y-grid", "1/8:100000:1/4"], "1feef1aa0bea561f"),
+    (["orbit", *MEDIUM, "--y", "7/8"], "abea4fb2b9bf759f"),
+    (["orbit", *MEDIUM, "--y", "7/8", "--format", "json"], "9a1695f696fa21b5"),
+    (["orbit", *M21, "--y", "13/8", "--x0", "1"], "be0ee77682abfb2f"),
+    (["orbit", *M21, "--y", "13/8", "--x0", "1", "--format", "json"], "948a31e77e050fd1"),
+    (["orbit", *MEDIUM, "--y", "3/4"], "db6d3c268f630dfb"),
+    (["orbit", *MEDIUM, "--y", "3/4", "--format", "json"], "d081b772ee28987e"),
+    (["orbit", *MEDIUM, "--y=-1/2"], "b73b4d9d843f0350"),
+    (["orbit", *MEDIUM, "--y", "7/8", "--x0", "99"], "4a3ac856104370ed"),
+    (["orbit", *MEDIUM], "b182162abfa9c6ff"),
+    (["evolve", *MEDIUM, "--l1", "1", "--l2", "1", "--t-max", "1"], "d90ab7b690c6ce92"),
+    (["evolve", *MEDIUM, "--l1", "1", "--l2", "1", "--t-max", "1", "--format", "json"],
+     "233927c8e6ca3ac2"),
+    (["evolve", *MEDIUM, "--l1", "10", "--l2", "10", "--t-max", "2", "--format", "json"],
+     "f70f488ef4216e1f"),
+    (["evolve", *M21, "--gamma", "3", "--l1", "1", "--l2", "9", "--t-max", "4"],
+     "4e4b47d416aa69ec"),
+    (["evolve", *M21, "--gamma", "3", "--l1", "1", "--l2", "9", "--t-max", "4",
+      "--format", "json"], "00069b311ec910e2"),
+    (["evolve", *MEDIUM, "--l1", "0", "--l2", "1", "--t-max", "1"], "1877f613f1808f53"),
+    (["simulate", *M21, "--epsilon", "1/11", "--steps", "1", "--rect", "2:11:2:11"],
+     "8ddc62420167fe21"),
+    (["simulate", *M21, "--epsilon", "1/11", "--steps", "1", "--rect", "2:11:2:11",
+      "--format", "json"], "e85ccb0b6ef43eaf"),
+    (["simulate", *M21, "--epsilon", "1/12", "--steps", "50", "--gamma", "35/48",
+      "--rect", "2:11:2:11"], "4e32688c43a99622"),
+    (["simulate", *M21, "--epsilon", "1/12", "--steps", "50", "--gamma", "35/48",
+      "--rect", "2:11:2:11", "--format", "json"], "42045a6146a58c05"),
+    (["simulate", *HOM, "--epsilon", "1", "--gamma", "10", "--steps", "3",
+      "--rect", "0:5:0:5"], "7630a9c35d7307b1"),
+    (["simulate", *M21, "--epsilon", "1/20", "--steps", "2", "--rect", "2:41:2:41",
+      "--gamma", "7/4", "--mode", "brute"], "76f2df181dfee080"),
+    (["simulate", *M21, "--epsilon", "1/20", "--steps", "2", "--rect", "2:41:2:41",
+      "--gamma", "7/4", "--mode", "brute", "--format", "json"], "251a3ce06c6717e1"),
+    (["simulate", "--alpha", "1", "--beta", "2", "--n-alpha", "2", "--n-beta", "3",
+      "--gamma", "39/40", "--epsilon", "1/20", "--steps", "1", "--rect", "4:24:4:29",
+      "--mode", "brute"], "0c06ef58c006ec2d"),
+    (["simulate", *M21, "--epsilon", "1/11", "--steps", "1", "--rect", "1:11:2:11"],
+     "92228e5a163b4d5a"),
+    (["simulate", *M21, "--epsilon", "0", "--steps", "1", "--rect", "2:11:2:11"],
+     "32c7f9889e8a7ead"),
+    (["validate", "--n-alpha-max", "3"], "e7d4115121defa2c"),
+    (["velocity-table", *MEDIUM, "--y-grid", "1/8:9/8:1/4",
+      "--out", "/nonexistent-dir/t.csv"], "4914fb94e1c563e5"),
+    # the exhaustive minimizer is the empty set; the family-bound error
+    # (885e8cbe3f1adea0) and the rectangle 3:13:2:10 (ff875f0815e25820) were wrong
+    (["simulate", *HOM, "--epsilon", "1/10", "--steps", "2", "--rect", "0:9:0:9",
+      "--mode", "brute"], "7630a9c35d7307b1"),
+    (["simulate", *HOM, "--gamma", "77/160", "--epsilon", "1/20", "--steps", "1",
+      "--rect", "1:15:1:11", "--mode", "brute"], "7630a9c35d7307b1"),
+]
+
+
+@pytest.mark.parametrize("argv, expected", PINNED,
+                         ids=[f"{argv[0]}-{i}" for i, (argv, _) in enumerate(PINNED)])
+def test_pinned_output_bytes(capsys, argv, expected):
+    try:
+        code, keep_err = main(argv), True
+    except SystemExit as exc:  # argparse's wording varies between Python versions
+        code, keep_err = exc.code, False
+    out, err = capsys.readouterr()
+    text = f"{code}\n{out}\n{err if keep_err else ''}"
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == expected

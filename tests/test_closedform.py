@@ -1,5 +1,6 @@
 """Closed-form velocities against the orbit dynamics."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -100,6 +101,11 @@ def test_rejects_unsupported_n_beta():
         closed_form_velocity(1, 3, Fraction(1), Fraction(1, 2))
 
 
-def test_mismatch_injection_is_detected():
-    assert oracle_equivalence_failures(alphas=(Fraction(1),), n_alpha_max=2,
-                                       inject_mismatch=True)
+def test_mismatch_injection_is_detected(monkeypatch):
+    def off_by_one(*args):
+        exact = closed_form_velocity(*args)
+        return dataclasses.replace(exact, value=exact.value + 1)
+
+    monkeypatch.setattr("defectflow.validation.closed_form_velocity", off_by_one)
+    fails = oracle_equivalence_failures(n_alpha_max=1)
+    assert fails and all(closed == orbit + 1 for *_, closed, orbit in fails)

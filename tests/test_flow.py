@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defectflow.flow import (CandidateFamily, FamilyTooSmallError, FlowConfig,
-                             brute_force_step, comparison_check, default_family,
-                             max_displacement_bound, per_side_step, run_flow,
-                             side_displacements, side_residues)
+from defectflow.flow import (_FLOOR_CELLS, CandidateFamily, FamilyTooSmallError,
+                             FlowConfig, brute_force_step, comparison_check,
+                             default_family, max_displacement_bound, per_side_step,
+                             run_flow, side_displacements)
 from defectflow.lattice import (AlphaRectangle, MediumSpec, homogeneous_medium,
                                 is_alpha_type, rect_dissipation,
                                 rect_perimeter_energy)
@@ -27,11 +27,20 @@ def alpha_square(spec, n, base=None):
 
 
 def test_side_residues_track_displacements():
-    rect = alpha_square(SPEC21, 10)
-    res = side_residues(SPEC21, rect)
-    assert res == {"left": 0, "right": 0, "bottom": 0, "top": 0}
-    moved = AlphaRectangle(rect.x_min + 1, rect.x_max, rect.y_min, rect.y_max)
-    assert side_residues(SPEC21, moved)["left"] == 1
+    # each side enters the scheme at its residue, so every displacement lands
+    # it on a weak row, whichever of its residues the side starts from
+    spec = MediumSpec(alpha=1, beta=2, n_alpha=3, n_beta=2)
+    eps = Fraction(1, 10)
+    rect = alpha_square(spec, 30)
+    for shift in range(spec.n_alpha):
+        moved = AlphaRectangle(rect.x_min + shift, rect.x_max - shift,
+                               rect.y_min + shift, rect.y_max - shift)
+        assert is_alpha_type(spec, moved)
+        for gamma in (Fraction(5, 2), Fraction(4), Fraction(6)):
+            d = side_displacements(spec, gamma, eps, moved)
+            nxt = AlphaRectangle(moved.x_min + d["left"][0], moved.x_max - d["right"][0],
+                                 moved.y_min + d["bottom"][0], moved.y_max - d["top"][0])
+            assert is_alpha_type(spec, nxt), (shift, gamma, d)
 
 
 def test_per_side_step_example():
@@ -142,16 +151,17 @@ def test_per_side_descends_energy():
 
 
 def _scan_step(config, current, family):
-    """The exact Fraction functional over every candidate, ranked by (value, area, offsets)."""
-    best = None
+    """The exact Fraction functional over the empty set (None, of area 0) and
+    every candidate, ranked by (value, area, offsets)."""
+    best = ((rect_dissipation(current, None, config.epsilon, config.tau), 0, ()), None)
     for offsets, cand in family.candidates():
         value = (rect_perimeter_energy(config.spec, cand, config.epsilon)
                  + rect_dissipation(current, cand, config.epsilon, config.tau))
         key = (value, cand.width * cand.height, offsets)
-        if best is None or key < best[0]:
+        if key < best[0]:
             best = (key, cand)
     (_, _, offsets), winner = best
-    if family.max_offset in offsets:
+    if winner is not None and family.max_offset in offsets:
         return ("family too small", offsets)
     return winner
 
@@ -215,23 +225,43 @@ def test_brute_force_breaks_value_ties_by_area_then_offsets():
                             steps=1, mode="brute_force")
         family = CandidateFamily(base=rect, max_offset=4)
         assert brute_force_step(config, rect, family) == _scan_step(config, rect, family)
-    # a 6 x 6 square collapses onto one of its four central cells, all of equal
-    # value and area: the smallest offsets (2, 3, 2, 3) decide
-    rect = AlphaRectangle(0, 5, 0, 5)
-    config = FlowConfig(spec=hom, gamma=Fraction(1, 2), epsilon=Fraction(1, 6),
-                        initial=rect, steps=1, mode="brute_force")
-    family = CandidateFamily(base=rect, max_offset=4)
-    assert brute_force_step(config, rect, family) == AlphaRectangle(2, 2, 2, 2) \
-        == _scan_step(config, rect, family)
+    # a 2 x 2 square at gamma = epsilon/2 costs exactly what removing it does
+    # (its perimeter 8*alpha*epsilon): the empty set, of measure 0, wins the tie
+    rect = AlphaRectangle(0, 1, 0, 1)
+    family = CandidateFamily(base=rect, max_offset=2)
+    eps = Fraction(1, 10)
+    for gamma, winner in ((eps / 2, None), (eps / 3, rect)):
+        config = FlowConfig(spec=hom, gamma=gamma, epsilon=eps, initial=rect,
+                            steps=1, mode="brute_force")
+        assert brute_force_step(config, rect, family) == winner \
+            == _scan_step(config, rect, family)
+    assert rect_perimeter_energy(hom, rect, eps) == rect_dissipation(rect, None, eps, eps * eps / 2)
 
 
 def test_family_too_small_raises():
-    rect = alpha_square(SPEC21, 12)
-    cfg = FlowConfig(spec=SPEC21, gamma=6, epsilon=Fraction(1, 12),
+    rect = alpha_square(SPEC21, 30)
+    cfg = FlowConfig(spec=SPEC21, gamma=Fraction(49, 60), epsilon=Fraction(1, 30),
                      initial=rect, steps=1, mode="brute_force")
-    # collapse-scale parameters push the minimizer to the family edge
-    with pytest.raises(FamilyTooSmallError):
+    # every side moves one cell, onto the edge of a family of offsets 0..1
+    assert brute_force_step(cfg, rect) == per_side_step(cfg, rect) == AlphaRectangle(
+        rect.x_min + 1, rect.x_max - 1, rect.y_min + 1, rect.y_max - 1)
+    with pytest.raises(FamilyTooSmallError, match=r"\(1, 1, 1, 1\)"):
         brute_force_step(cfg, rect, CandidateFamily(base=rect, max_offset=1))
+
+
+def test_brute_force_step_picks_the_empty_set():
+    # each rectangle is cheaper to remove than to keep in any nested form; for
+    # the 10 x 10 square the empty set costs 11/5, the family's best rectangle 51/20
+    hom = homogeneous_medium(1)
+    for rect, gamma, eps in ((AlphaRectangle(0, 9, 0, 9), 1, Fraction(1, 10)),
+                             (AlphaRectangle(1, 15, 1, 11), Fraction(77, 160),
+                              Fraction(1, 20))):
+        cfg = FlowConfig(spec=hom, gamma=gamma, epsilon=eps, initial=rect, steps=2,
+                         mode="brute_force")
+        assert brute_force_step(cfg, rect) is None
+        assert _scan_step(cfg, rect, default_family(cfg, rect)) is None
+        result = run_flow(cfg)
+        assert (result.stop_reason, result.records) == ("extinction", ())
 
 
 def test_run_flow_stops_at_floor():
@@ -243,7 +273,7 @@ def test_run_flow_stops_at_floor():
     result = run_flow(cfg)
     assert result.stop_reason == "floor"
     assert min(result.rectangles[-1].width, result.rectangles[-1].height) \
-        <= cfg.delta_floor_cells + 2 * max_displacement_bound(
+        <= _FLOOR_CELLS + 2 * max_displacement_bound(
             SPEC21, gamma, result.rectangles[-2], eps)
 
 
@@ -267,6 +297,21 @@ def test_comparison_check_nested():
     eps = Fraction(1, 20)
     gamma = Fraction(25, 24) * outer.height * eps
     assert comparison_check(SPEC21, gamma, eps, inner, outer, steps=3)
+
+
+def test_comparison_check_when_the_outer_flow_vanishes():
+    # the exhaustive step removes this rectangle in one step, while the
+    # per-side step of the inner flow keeps a smaller one
+    hom = homogeneous_medium(1)
+    gamma, eps = Fraction(77, 160), Fraction(1, 20)
+    outer = AlphaRectangle(1, 15, 1, 11)
+    cfg = FlowConfig(spec=hom, gamma=gamma, epsilon=eps, initial=outer, steps=1,
+                     mode="brute_force")
+    assert brute_force_step(cfg, outer) is None
+    assert per_side_step(cfg, outer) is not None
+    assert not comparison_check(hom, gamma, eps, outer, outer, steps=1)
+    beside = AlphaRectangle(30, 44, 1, 11)
+    assert comparison_check(hom, gamma, eps, beside, outer, steps=2, mode="disjoint")
 
 
 def test_comparison_check_not_nested_fails_fast():
