@@ -4,7 +4,8 @@ opposite pair's length through the effective velocity law.
 Lengths solve dL1/dt = -(2/gamma) f(gamma/L2), dL2/dt = -(2/gamma) f(gamma/L1),
 where f is piecewise constant; the trajectory is integrated exactly, event by
 event.  At a jump point of f the velocity of the component just crossed into
-is used.
+is used.  f is read once per jump-grid component, from component_velocity's
+O(period) integer walk; run_orbit's O(period^2) Fraction scan is its oracle.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .lattice import MediumSpec
-from .orbit import component_midpoint, jump_component, pinning_threshold, run_orbit
+from .orbit import component_midpoint, component_velocity, jump_component, pinning_threshold
 from .rationals import as_fraction, rational_floor
 
 # integration gives up (stop_reason "max_events") after this many segments
@@ -39,7 +40,7 @@ def classify_regime(spec: MediumSpec, gamma, l1, l2) -> str:
 def velocity_of_length(spec: MediumSpec, gamma, length) -> Fraction:
     """Effective f at y = gamma / length, taking the component above at jump points."""
     k, _ = jump_component(spec.alpha, as_fraction(gamma) / as_fraction(length))
-    return run_orbit(spec, component_midpoint(spec.alpha, k)).velocity
+    return component_velocity(spec, k)
 
 
 def _component_velocities(spec: MediumSpec, gamma: Fraction):

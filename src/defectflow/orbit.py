@@ -136,6 +136,31 @@ def run_orbit(spec: MediumSpec, y, x0: int = 0) -> OrbitTrace:
         first_seen[r] = k
 
 
+def component_velocity(spec: MediumSpec, k: int) -> Fraction:
+    """run_orbit's velocity at the midpoint of jump-grid component k, in O(period)
+    integer steps: the vertex there is (2k-1)/4, so the nearest admissible step
+    never ties, and any step but the nearest integer lands on residue 0 or
+    n_alpha - 1, so the orbit from 0 closes at a repeat of one of those two."""
+    m, n_alpha, v4 = spec.period, spec.n_alpha, 2 * k - 1
+    c, near = v4 // 4, (v4 + 2) // 4
+    seen = {0: (0, 0)}  # residue 0 or n_alpha - 1 -> (steps, cells) at first visit
+    x = cells = 0
+    for steps in range(1, 2 * m + 2):
+        step = near
+        if (x + near) % m >= n_alpha:
+            lower = c - max(0, (x + c) % m - n_alpha + 1)
+            r = (x + c + 1) % m
+            upper = c + 1 + (m - r if r >= n_alpha else 0)
+            step = lower if v4 - 4 * lower < 4 * upper - v4 else upper
+        cells += step
+        x = (x + step) % m
+        if x in seen:
+            return Fraction(cells - seen[x][1], steps - seen[x][0])
+        if x == n_alpha - 1:
+            seen[x] = (steps, cells)
+    raise AssertionError("orbit failed to close within the pigeonhole bound")
+
+
 @dataclass(frozen=True)
 class VelocityResult:
     """Effective side velocity at a given y.
@@ -160,8 +185,7 @@ def effective_velocity(spec: MediumSpec, y) -> VelocityResult:
         raise ValueError("y must be positive")
     k, on_grid = jump_component(spec.alpha, y)
     if on_grid:
-        below = run_orbit(spec, component_midpoint(spec.alpha, k - 1)).velocity
-        above = run_orbit(spec, component_midpoint(spec.alpha, k)).velocity
+        below, above = component_velocity(spec, k - 1), component_velocity(spec, k)
         value = below if below == above else None
         return VelocityResult(y=y, value=value, lower=below, upper=above, singular=True)
     trace = run_orbit(spec, y)

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -114,6 +115,22 @@ def test_evolve_json_unit_square(capsys):
     assert payload["extinction_window"][0] == "41/308"
 
 
+def test_evolve_large_period_is_fast(capsys):
+    # period 2001: the Fraction scan took about 40 s for this trajectory
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        ["evolve", "--alpha", "1", "--beta", "2", "--n-alpha", "2000", "--n-beta", "1",
+         "--gamma", "10", "--l1", "3", "--l2", "5", "--t-max", "100",
+         "--format", "json"], capsys)
+    elapsed = time.perf_counter() - start
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["stop_reason"] == "collapse"
+    assert len(payload["segments"]) == 1
+    assert payload["extinction_window"] == ["7505/42021", "13830677717/1961960490"]
+    assert elapsed < 1.0
+
+
 def test_evolve_csv_pinned(capsys):
     code, out, _ = run_cli(
         ["evolve", *MEDIUM, "--l1", "10", "--l2", "10", "--t-max", "2"], capsys)
@@ -186,7 +203,8 @@ def test_simulate_brute_family_bound_with_three_defect_rows(capsys):
 def test_internal_assertion_exits_1_without_traceback(monkeypatch, capsys, module, argv):
     def broken(*args, **kwargs):
         raise AssertionError("orbit failed to close within the pigeonhole bound")
-    monkeypatch.setattr(f"{module}.run_orbit", broken)
+    name = "run_orbit" if module == "defectflow.cli" else "component_velocity"
+    monkeypatch.setattr(f"{module}.{name}", broken)
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (1, "")
     assert err == "error: internal: orbit failed to close within the pigeonhole bound\n"

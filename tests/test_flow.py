@@ -1,5 +1,6 @@
 """Two-dimensional rectangle flow: steppers, runs, comparison principle."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -236,6 +237,33 @@ def test_brute_force_breaks_value_ties_by_area_then_offsets():
         assert brute_force_step(config, rect, family) == winner \
             == _scan_step(config, rect, family)
     assert rect_perimeter_energy(hom, rect, eps) == rect_dissipation(rect, None, eps, eps * eps / 2)
+
+
+def test_brute_force_matches_full_enumeration():
+    # the default family plus the empty set holds the exact minimizer over
+    # every nested rectangle, alpha-type or not; a family of offsets up to the
+    # longer side enumerates all of them.  At 7-10 cells per side a step moves
+    # a side only for 2*alpha*Y near 1, and a larger Y empties the rectangle,
+    # so Y is drawn from 2*alpha*Y in [3/4, 5/4].
+    rng = random.Random(6)
+    eps = Fraction(1, 20)
+    outcomes = set()
+    for _ in range(40):
+        n_beta, alpha = rng.randint(0, 3), rng.choice([Fraction(1, 2), Fraction(1), Fraction(3, 2)])
+        spec = MediumSpec(alpha=alpha, beta=alpha * rng.choice([2, 3, 6]) if n_beta else None,
+                          n_alpha=rng.randint(1, 4), n_beta=n_beta)
+        rect = None
+        while rect is None or not is_alpha_type(spec, rect):
+            x0, y0 = rng.randrange(12), rng.randrange(12)
+            rect = AlphaRectangle(x0, x0 + rng.randint(6, 9), y0, y0 + rng.randint(6, 9))
+        y = Fraction(rng.randint(12, 20), 32) / alpha
+        config = FlowConfig(spec=spec, gamma=y * rect.height * eps, epsilon=eps,
+                            initial=rect, steps=1, mode="brute_force")
+        every = CandidateFamily(base=rect, max_offset=max(rect.width, rect.height))
+        got = brute_force_step(config, rect)
+        assert got == _scan_step(config, rect, every), (spec, rect, y)
+        outcomes.add("empty" if got is None else "kept" if got == rect else "moved")
+    assert outcomes == {"empty", "kept", "moved"}
 
 
 def test_family_too_small_raises():

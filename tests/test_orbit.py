@@ -7,9 +7,9 @@ import pytest
 
 from defectflow.lattice import MediumSpec, homogeneous_medium
 from defectflow.orbit import (SingularInputError, component_midpoint,
-                              effective_velocity, homogeneous_velocity,
-                              is_singular, jump_component, pinning_threshold,
-                              run_orbit, step_minimizer)
+                              component_velocity, effective_velocity,
+                              homogeneous_velocity, is_singular, jump_component,
+                              pinning_threshold, run_orbit, step_minimizer)
 
 SPEC21 = MediumSpec(alpha=1, beta=2, n_alpha=2, n_beta=1)
 SPEC11 = MediumSpec(alpha=1, beta=2, n_alpha=1, n_beta=1)
@@ -155,6 +155,20 @@ def test_effective_velocity_singular_jump():
     assert res.value is None
     assert res.lower == 0
     assert res.upper > 0
+
+
+def test_component_velocity_matches_run_orbit():
+    # the integer walk against the Fraction scan at component midpoints; the
+    # walk never reads alpha, so one value must serve every alpha
+    rng = random.Random(16)
+    alphas = (Fraction(1), Fraction(1, 2), Fraction(3, 2))
+    for _ in range(600):
+        n_alpha, n_beta, k = rng.randint(1, 12), rng.randint(0, 6), rng.randrange(60)
+        specs = [MediumSpec(alpha=a, beta=2 * a if n_beta else None,
+                            n_alpha=n_alpha, n_beta=n_beta) for a in alphas]
+        f = component_velocity(specs[0], k)
+        for spec in specs:
+            assert run_orbit(spec, component_midpoint(spec.alpha, k)).velocity == f
 
 
 def test_velocity_x0_independent():
