@@ -5,7 +5,7 @@ Lengths solve dL1/dt = -(2/gamma) f(gamma/L2), dL2/dt = -(2/gamma) f(gamma/L1),
 where f is piecewise constant; the trajectory is integrated exactly, event by
 event.  At a jump point of f the velocity of the component just crossed into
 is used.  f is read once per jump-grid component, from component_velocity's
-O(period) integer walk; run_orbit's O(period^2) Fraction scan is its oracle.
+closed form in (n_alpha, n_beta, k); run_orbit's Fraction scan is its oracle.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ def classify_regime(spec: MediumSpec, gamma, l1, l2) -> str:
 def velocity_of_length(spec: MediumSpec, gamma, length) -> Fraction:
     """Effective f at y = gamma / length, taking the component above at jump points."""
     k, _ = jump_component(spec.alpha, as_fraction(gamma) / as_fraction(length))
-    return component_velocity(spec, k)
+    return component_velocity(spec.n_alpha, spec.n_beta, k)
 
 
 def _component_velocities(spec: MediumSpec, gamma: Fraction):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 from .lattice import MediumSpec
@@ -136,29 +137,36 @@ def run_orbit(spec: MediumSpec, y, x0: int = 0) -> OrbitTrace:
         first_seen[r] = k
 
 
-def component_velocity(spec: MediumSpec, k: int) -> Fraction:
-    """run_orbit's velocity at the midpoint of jump-grid component k, in O(period)
-    integer steps: the vertex there is (2k-1)/4, so the nearest admissible step
-    never ties, and any step but the nearest integer lands on residue 0 or
-    n_alpha - 1, so the orbit from 0 closes at a repeat of one of those two."""
-    m, n_alpha, v4 = spec.period, spec.n_alpha, 2 * k - 1
-    c, near = v4 // 4, (v4 + 2) // 4
-    seen = {0: (0, 0)}  # residue 0 or n_alpha - 1 -> (steps, cells) at first visit
-    x = cells = 0
-    for steps in range(1, 2 * m + 2):
-        step = near
-        if (x + near) % m >= n_alpha:
-            lower = c - max(0, (x + c) % m - n_alpha + 1)
-            r = (x + c + 1) % m
-            upper = c + 1 + (m - r if r >= n_alpha else 0)
-            step = lower if v4 - 4 * lower < 4 * upper - v4 else upper
-        cells += step
-        x = (x + step) % m
-        if x in seen:
-            return Fraction(cells - seen[x][1], steps - seen[x][0])
-        if x == n_alpha - 1:
-            seen[x] = (steps, cells)
-    raise AssertionError("orbit failed to close within the pigeonhole bound")
+def component_velocity(n_alpha: int, n_beta: int, k: int) -> Fraction:
+    """run_orbit's velocity at the midpoint of jump-grid component k, in closed form.
+
+    There the vertex is (2k-1)/4, so the natural step N = k // 2 never ties.  A
+    natural step blocked at band residue s deflects to the nearer band edge: down
+    by s - n_alpha + 1 onto residue n_alpha - 1, or up by m - s onto 0.  Between
+    deflections the residue advances by N, so from reset r the first blocked step
+    is the least j >= 1 with r + j*N in the band (mod m), and the orbit from 0
+    cycles through the resets 0 and n_alpha - 1 only: f = N + (sum of deflections)
+    / (sum of j) over that cycle.  Alpha and beta do not enter.
+    """
+    m, big_n, v4 = n_alpha + n_beta, k // 2, 2 * k - 1
+    g = gcd(big_n, m)
+    inv = pow(big_n // g, -1, m // g)
+    first = {}  # reset -> (steps, cells) at its first visit
+    r = steps = cells = 0
+    while r not in first:
+        first[r] = (steps, cells)
+        j = min([(s - r) // g * inv % (m // g) for s in range(n_alpha, m) if (s - r) % g == 0],
+                default=0)
+        if not j:  # r is weak, so j = 0 only when no band residue is reachable
+            return Fraction(big_n)
+        s = (r + j * big_n) % m
+        down, up = s - n_alpha + 1, m - s
+        steps += j
+        if v4 - 4 * (big_n - down) < 4 * (big_n + up) - v4:
+            cells, r = cells + j * big_n - down, n_alpha - 1
+        else:
+            cells, r = cells + j * big_n + up, 0
+    return Fraction(cells - first[r][1], steps - first[r][0])
 
 
 @dataclass(frozen=True)
@@ -185,7 +193,7 @@ def effective_velocity(spec: MediumSpec, y) -> VelocityResult:
         raise ValueError("y must be positive")
     k, on_grid = jump_component(spec.alpha, y)
     if on_grid:
-        below, above = component_velocity(spec, k - 1), component_velocity(spec, k)
+        below, above = (component_velocity(spec.n_alpha, spec.n_beta, j) for j in (k - 1, k))
         value = below if below == above else None
         return VelocityResult(y=y, value=value, lower=below, upper=above, singular=True)
     trace = run_orbit(spec, y)

@@ -44,7 +44,7 @@ def test_singular_input_at_jump_raises():
 
 def test_case_labels_are_known():
     for n_alpha in range(1, 7):
-        for n_beta in (1, 2):
+        for n_beta in range(7):
             for y in component_midpoints(Fraction(1), Fraction(8)):
                 res = closed_form_velocity(n_alpha, n_beta, Fraction(1), y)
                 assert res.case.label in CASE_LABELS
@@ -74,12 +74,13 @@ def test_congruence_data_consistency():
         for n_beta in (1, 2):
             m = n_alpha + n_beta
             for y in component_midpoints(Fraction(1), Fraction(12)):
-                case = closed_form_velocity(n_alpha, n_beta, Fraction(1), y).case
+                res = closed_form_velocity(n_alpha, n_beta, Fraction(1), y)
+                case = res.case
                 if case.n_bar is None:
                     continue
                 assert 1 <= case.n_bar < m
                 big_n = (2 * y).__floor__()
-                c = 1 if case.k_min is not None else -1
+                c = 1 if res.value < big_n else -1
                 scan = next(n for n in range(1, m + 1) if (big_n * n - c) % m == 0)
                 assert case.n_bar == scan
                 branches.add((n_beta, c))
@@ -87,18 +88,34 @@ def test_congruence_data_consistency():
 
 
 def test_matches_orbit_small_grid():
+    # one law for every n_beta, not only the paper's one and two strong rows
     for n_alpha in range(1, 7):
-        for n_beta in (1, 2):
-            spec = MediumSpec(alpha=Fraction(3, 2), beta=2, n_alpha=n_alpha,
-                              n_beta=n_beta)
+        for n_beta in range(7):
+            spec = MediumSpec(alpha=Fraction(3, 2), beta=2 if n_beta else None,
+                              n_alpha=n_alpha, n_beta=n_beta)
             for y in component_midpoints(spec.alpha, Fraction(8)):
                 closed = closed_form_velocity(n_alpha, n_beta, spec.alpha, y)
                 assert closed.value == run_orbit(spec, y).velocity
 
 
-def test_rejects_unsupported_n_beta():
+def test_rejects_negative_n_beta():
     with pytest.raises(ValueError):
-        closed_form_velocity(1, 3, Fraction(1), Fraction(1, 2))
+        closed_form_velocity(1, -1, Fraction(1), Fraction(1, 2))
+
+
+@pytest.mark.parametrize("n_alpha, n_beta, y, steps, value, label", [
+    (2, 2, Fraction(9, 8), (1, 3, 1), Fraction(2), "a2_no_defect"),
+    (2, 3, Fraction(11, 8), (1, 4, 1), Fraction(5, 2), "a1_accel"),
+])
+def test_two_deflections_per_period(n_alpha, n_beta, y, steps, value, label):
+    # the orbit from 0 deflects down onto n_alpha - 1, then up onto 0: a period
+    # can hold two deflections, which may even cancel
+    spec = MediumSpec(alpha=1, beta=2, n_alpha=n_alpha, n_beta=n_beta)
+    trace = run_orbit(spec, y)
+    assert trace.steps == steps
+    assert trace.velocity == value
+    closed = closed_form_velocity(n_alpha, n_beta, 1, y)
+    assert (closed.value, closed.case.label) == (value, label)
 
 
 def test_mismatch_injection_is_detected(monkeypatch):
