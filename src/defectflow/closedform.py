@@ -22,7 +22,8 @@ CASE_LABELS = ("a1_decel", "a1_accel", "a2_no_defect", "b", "c")
 @dataclass(frozen=True)
 class CaseTag:
     """Which branch of the velocity formula applied; n_bar is the denominator
-    of f - N, the recurrence of the defect."""
+    of f - N, the recurrence of the defect.  The paper names the cases only for
+    n_beta <= 2: past that, a1_accel and a1_decel give only the sign of f - N."""
 
     label: str
     n_bar: Optional[int] = None

@@ -157,19 +157,14 @@ def _axis_candidates(spec: MediumSpec, lo: int, hi: int, top: int) -> list:
             for a in range(top + 1) for b in range(min(top, hi - lo - a) + 1)]
 
 
-def brute_force_step(config: FlowConfig, current: AlphaRectangle,
-                     family: Optional[CandidateFamily] = None) -> Optional[AlphaRectangle]:
-    """Minimize the exact functional over the candidate family and the empty set.
+def brute_force_step(config: FlowConfig, current: AlphaRectangle) -> Optional[AlphaRectangle]:
+    """Minimize the exact functional over the default family and the empty set.
 
     Ties go to the candidate of smallest measure, then lexicographic offsets;
     None means the empty set won.  If a winning rectangle touches the family
     boundary the family was too small.
     """
-    if family is None:
-        family = default_family(config, current)
-    spec, base = config.spec, family.base
-    if not current.contains(base):
-        raise ValueError("inner rectangle must be nested in the reference")
+    spec, top = config.spec, default_family(config, current).max_offset
     # value / epsilon = alpha*bonds + (beta - alpha)*strong + (epsilon/gamma)*(const - kept),
     # kept being the candidate's area plus depth sum; times the lcm of the
     # denominators and less the constant, it ranks as an exact integer; the empty set scores 0
@@ -177,11 +172,11 @@ def brute_force_step(config: FlowConfig, current: AlphaRectangle,
                config.epsilon / config.gamma)
     scale = math.lcm(*(w.denominator for w in weights))
     bond, strong, kept = (int(w * scale) for w in weights)
-    xs = _axis_candidates(spec, base.x_min, base.x_max, family.max_offset)
-    ys = _axis_candidates(spec, base.y_min, base.y_max, family.max_offset)
+    a, b, c, d = current.x_min, current.x_max, current.y_min, current.y_max
+    xs = _axis_candidates(spec, a, b, top)
+    ys = _axis_candidates(spec, c, d, top)
     # rows[u][col[v]]: kept over the cells of current with x <= u, y <= v; each
     # candidate's kept is four of these by inclusion-exclusion
-    a, b, c, d = current.x_min, current.x_max, current.y_min, current.y_max
     cols = sorted({v for _, _, y0, y1, _, _ in ys for v in (y0 - 1, y1)})
     col = {v: j for j, v in enumerate(cols)}
     rows = {u: [kept * ((u - a + 1) * (v - c + 1)
@@ -204,10 +199,9 @@ def brute_force_step(config: FlowConfig, current: AlphaRectangle,
     if best[2] is None:
         return None
     offsets = dl, dr, db, dt = best[2]
-    if any(off == family.max_offset for off in offsets):
-        raise FamilyTooSmallError(
-            f"minimizer at offsets {offsets} touches the family bound {family.max_offset}")
-    return AlphaRectangle(base.x_min + dl, base.x_max - dr, base.y_min + db, base.y_max - dt)
+    if top in offsets:
+        raise FamilyTooSmallError(f"minimizer at offsets {offsets} touches the family bound {top}")
+    return AlphaRectangle(a + dl, b - dr, c + db, d - dt)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d*[1-9]\d*)?$")
 
 
 def as_fraction(value) -> Fraction:
@@ -20,7 +20,7 @@ def as_fraction(value) -> Fraction:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse 'p/q' or 'p' with integer parts; anything else (decimals included) is an error."""
+    """Parse 'p/q' or 'p' with integer parts and q > 0; anything else is a ValueError."""
     text = text.strip()
     if not RATIONAL_RE.match(text):
         raise ValueError(f"not a rational literal: {text!r}")

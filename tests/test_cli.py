@@ -275,6 +275,21 @@ def test_missing_subcommand_exits_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["orbit", "--alpha", "1/0", "--beta", "2", "--n-alpha", "1", "--n-beta", "1",
+     "--y", "7/8"],
+    ["velocity-table", *MEDIUM, "--y-grid", "1/8:1/0:1/4"],
+    ["evolve", *MEDIUM, "--gamma", "1/0", "--l1", "1", "--l2", "1", "--t-max", "1"],
+])
+def test_zero_denominator_exits_2(capsys, argv):
+    # argparse reports the bad literal; Fraction never sees it
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert "1/0" in captured.err and "Traceback" not in captured.err
+
+
 # sha256 of "rc\nstdout\nstderr" (stderr left out when argparse exits), first
 # 16 hex digits: every subcommand in both formats, a singular orbit, a floor
 # stop, an extinction, and exits 1 and 2

@@ -51,17 +51,22 @@ def test_case_labels_are_known():
 
 
 def test_case_labels_match_velocity_side():
+    # within one row of N for the paper's n_beta <= 2; past that the label gives
+    # the sign of f - N, and a deflection still moves a side at most n_beta rows
     for n_alpha in range(1, 9):
-        for n_beta in (1, 2):
+        for n_beta in range(1, 7):
+            reach = 1 if n_beta <= 2 else n_beta
             for y in component_midpoints(Fraction(1), Fraction(10)):
                 res = closed_form_velocity(n_alpha, n_beta, Fraction(1), y)
                 hom = (2 * y).__floor__()
                 if res.case.label == "a2_no_defect":
                     assert res.value == hom
-                elif res.case.label == "a1_decel":
-                    assert hom - 1 <= res.value < hom
+                    continue
+                assert res.case.n_bar == (res.value - hom).denominator
+                if res.case.label == "a1_decel":
+                    assert hom - reach <= res.value < hom
                 elif res.case.label == "a1_accel":
-                    assert hom < res.value <= hom + 1
+                    assert hom < res.value <= hom + reach
                 else:
                     assert res.value != hom or res.value == 0
 
@@ -106,6 +111,8 @@ def test_rejects_negative_n_beta():
 @pytest.mark.parametrize("n_alpha, n_beta, y, steps, value, label", [
     (2, 2, Fraction(9, 8), (1, 3, 1), Fraction(2), "a2_no_defect"),
     (2, 3, Fraction(11, 8), (1, 4, 1), Fraction(5, 2), "a1_accel"),
+    # N = 2 and both steps fall two rows short: a1_decel with n_bar 1 past n_beta = 2
+    (1, 3, Fraction(9, 8), (0, 0), Fraction(0), "a1_decel"),
 ])
 def test_two_deflections_per_period(n_alpha, n_beta, y, steps, value, label):
     # the orbit from 0 deflects down onto n_alpha - 1, then up onto 0: a period
@@ -116,6 +123,8 @@ def test_two_deflections_per_period(n_alpha, n_beta, y, steps, value, label):
     assert trace.velocity == value
     closed = closed_form_velocity(n_alpha, n_beta, 1, y)
     assert (closed.value, closed.case.label) == (value, label)
+    big_n = (2 * y).__floor__()
+    assert closed.case.n_bar == (None if value == big_n else (value - big_n).denominator)
 
 
 def test_mismatch_injection_is_detected(monkeypatch):

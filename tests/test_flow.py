@@ -2,11 +2,13 @@
 
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from defectflow import flow
 from defectflow.flow import (_FLOOR_CELLS, CandidateFamily, FamilyTooSmallError,
                              FlowConfig, brute_force_step, comparison_check,
                              default_family, max_displacement_bound, per_side_step,
@@ -151,6 +153,11 @@ def test_per_side_descends_energy():
         prev = rec.rect
 
 
+def _searching(family):
+    """Make brute_force_step search the given family instead of the default one."""
+    return patch.object(flow, "default_family", lambda config, current: family)
+
+
 def _scan_step(config, current, family):
     """The exact Fraction functional over the empty set (None, of area 0) and
     every candidate, ranked by (value, area, offsets)."""
@@ -194,11 +201,7 @@ def step_problems(draw):
                         initial=rect, steps=1, mode="brute_force")
     family = default_family(config, rect)
     if family.max_offset > 5 or draw(st.booleans()):
-        base = rect
-        if draw(st.booleans()) and min(rect.width, rect.height) > 2:
-            base = AlphaRectangle(rect.x_min + draw(st.integers(0, 1)), rect.x_max,
-                                  rect.y_min, rect.y_max - draw(st.integers(0, 1)))
-        family = CandidateFamily(base=base, max_offset=draw(st.integers(2, 5)))
+        family = CandidateFamily(base=rect, max_offset=draw(st.integers(2, 5)))
     return config, rect, family
 
 
@@ -208,7 +211,8 @@ def test_brute_force_matches_fraction_scan(problem):
     config, rect, family = problem
     expected = _scan_step(config, rect, family)
     try:
-        got = brute_force_step(config, rect, family)
+        with _searching(family):  # a function-scoped monkeypatch fails hypothesis's health check
+            got = brute_force_step(config, rect)
     except FamilyTooSmallError as exc:
         assert expected[0] == "family too small", (expected, exc)
         assert str(expected[1]) in str(exc)
@@ -225,7 +229,8 @@ def test_brute_force_breaks_value_ties_by_area_then_offsets():
         config = FlowConfig(spec=hom, gamma=gamma, epsilon=eps, initial=rect,
                             steps=1, mode="brute_force")
         family = CandidateFamily(base=rect, max_offset=4)
-        assert brute_force_step(config, rect, family) == _scan_step(config, rect, family)
+        with _searching(family):
+            assert brute_force_step(config, rect) == _scan_step(config, rect, family)
     # a 2 x 2 square at gamma = epsilon/2 costs exactly what removing it does
     # (its perimeter 8*alpha*epsilon): the empty set, of measure 0, wins the tie
     rect = AlphaRectangle(0, 1, 0, 1)
@@ -234,8 +239,8 @@ def test_brute_force_breaks_value_ties_by_area_then_offsets():
     for gamma, winner in ((eps / 2, None), (eps / 3, rect)):
         config = FlowConfig(spec=hom, gamma=gamma, epsilon=eps, initial=rect,
                             steps=1, mode="brute_force")
-        assert brute_force_step(config, rect, family) == winner \
-            == _scan_step(config, rect, family)
+        with _searching(family):
+            assert brute_force_step(config, rect) == winner == _scan_step(config, rect, family)
     assert rect_perimeter_energy(hom, rect, eps) == rect_dissipation(rect, None, eps, eps * eps / 2)
 
 
@@ -273,8 +278,9 @@ def test_family_too_small_raises():
     # every side moves one cell, onto the edge of a family of offsets 0..1
     assert brute_force_step(cfg, rect) == per_side_step(cfg, rect) == AlphaRectangle(
         rect.x_min + 1, rect.x_max - 1, rect.y_min + 1, rect.y_max - 1)
-    with pytest.raises(FamilyTooSmallError, match=r"\(1, 1, 1, 1\)"):
-        brute_force_step(cfg, rect, CandidateFamily(base=rect, max_offset=1))
+    with _searching(CandidateFamily(base=rect, max_offset=1)), \
+            pytest.raises(FamilyTooSmallError, match=r"\(1, 1, 1, 1\)"):
+        brute_force_step(cfg, rect)
 
 
 def test_brute_force_step_picks_the_empty_set():

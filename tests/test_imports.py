@@ -1,4 +1,4 @@
-"""Every library module uses each name it imports."""
+"""Every library module uses each name it imports, and every private helper has a reader."""
 
 import ast
 from pathlib import Path
@@ -33,3 +33,42 @@ def test_unused_imports_detects_a_dead_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def dead_helpers(sources: dict) -> list:
+    """Module-level single-underscore names, by module, that no module reads."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            dead += [(module, name) for name in names
+                     if name.startswith("_") and not name.startswith("__") and name not in read]
+    return sorted(dead)
+
+
+def _package_sources() -> dict:
+    return {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+
+
+def test_dead_helpers_detects_a_planted_name():
+    sources = _package_sources()
+    sources["lattice"] += "\n\ndef _cell_boundary_distance2(cell, segs):\n    return 1\n"
+    sources["extra"] = "_LIMIT = 3\n__all__ = []\n\n\ndef _helper():\n    return _LIMIT\n"
+    assert dead_helpers(sources) == [("extra", "_helper"), ("lattice", "_cell_boundary_distance2")]
+
+
+def test_no_dead_helpers():
+    assert dead_helpers(_package_sources()) == []

@@ -156,6 +156,33 @@ def test_dissipation_empty_reference():
     assert dissipation(lattice_set(1, []), lattice_set(1, []), 1) == 0
 
 
+def _box(x0, x1, y0, y1):
+    return {(x, y) for x in range(x0, x1 + 1) for y in range(y0, y1 + 1)}
+
+
+_HOLED = _box(0, 6, 0, 6) - _box(2, 4, 2, 4)
+_BLOCKS = _box(0, 2, 0, 2) | _box(6, 8, 0, 2)
+_ELL = _box(0, 6, 0, 2) | _box(0, 2, 0, 6)
+
+
+@pytest.mark.parametrize("reference, candidate, eps, tau, expected", [
+    # the filled hole: eight cells touch the old set, its center is one ring further
+    (_HOLED, _box(0, 6, 0, 6), 1, 1, 10),
+    # every cell of the holed square touches the outside or the hole
+    (_HOLED, set(), 1, 1, 40),
+    (_BLOCKS, set(), 1, 1, 20),
+    # the middle column of the gap is two rings from either block
+    (_BLOCKS, _box(0, 8, 0, 2), 1, 1, 12),
+    # the nine cells with all eight neighbors in the L pay 2
+    (_ELL, set(), 1, 1, 42),
+    # the added corner pays 1, 2, 3, 4 on its 7, 5, 3, 1 cells
+    (_ELL, _box(0, 6, 0, 6), 1, 1, 30),
+    (_ELL, _box(0, 6, 0, 6), Fraction(1, 2), Fraction(1, 3), Fraction(45, 4)),
+])
+def test_dissipation_beyond_rectangles(reference, candidate, eps, tau, expected):
+    assert dissipation(lattice_set(eps, reference), lattice_set(eps, candidate), tau) == expected
+
+
 def test_rect_dissipation_matches_generic():
     eps = Fraction(1, 9)
     tau = Fraction(1, 9)

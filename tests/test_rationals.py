@@ -11,9 +11,11 @@ def test_parse_rational_basic():
     assert parse_rational("3/4") == Fraction(3, 4)
     assert parse_rational("-7") == Fraction(-7)
     assert parse_rational("10/4") == Fraction(5, 2)
+    assert parse_rational("1/01") == 1
 
 
-@pytest.mark.parametrize("bad", ["1.5", "0.25", "1e-3", "three", "1/2/3", "", "1 /2"])
+@pytest.mark.parametrize("bad", ["1.5", "0.25", "1e-3", "three", "1/2/3", "", "1 /2",
+                                 "1/0", "3/00", "-2/0"])
 def test_parse_rational_rejects(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
