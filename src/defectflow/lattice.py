@@ -88,9 +88,6 @@ class LatticeSet:
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
 
-    def area(self) -> Fraction:
-        return self.epsilon ** 2 * len(self.cells)
-
 
 def lattice_set(epsilon, cells: Iterable[Cell]) -> LatticeSet:
     return LatticeSet(epsilon=as_fraction(epsilon), cells=frozenset(cells))

@@ -137,16 +137,17 @@ def run_orbit(spec: MediumSpec, y, x0: int = 0) -> OrbitTrace:
         first_seen[r] = k
 
 
-def component_velocity(n_alpha: int, n_beta: int, k: int) -> Fraction:
-    """run_orbit's velocity at the midpoint of jump-grid component k, in closed form.
+def component_cycle(n_alpha: int, n_beta: int, k: int) -> tuple:
+    """run_orbit's (period_steps, period_cells) on jump-grid component k, in closed form.
 
-    There the vertex is (2k-1)/4, so the natural step N = k // 2 never ties.  A
-    natural step blocked at band residue s deflects to the nearer band edge: down
-    by s - n_alpha + 1 onto residue n_alpha - 1, or up by m - s onto 0.  Between
-    deflections the residue advances by N, so from reset r the first blocked step
-    is the least j >= 1 with r + j*N in the band (mod m), and the orbit from 0
-    cycles through the resets 0 and n_alpha - 1 only: f = N + (sum of deflections)
-    / (sum of j) over that cycle.  Alpha and beta do not enter.
+    Each y of the component steps as its midpoint, where the vertex is (2k-1)/4,
+    so the natural step N = k // 2 never ties.  A step blocked at band residue s
+    deflects to the nearer band edge: down by s - n_alpha + 1 onto residue
+    n_alpha - 1, or up by m - s onto 0.  Between deflections the residue advances
+    by N, so from reset r the first blocked step is the least j >= 1 with r + j*N
+    in the band (mod m), and the orbit from 0 cycles through the resets 0 and
+    n_alpha - 1 only.  The period is the sum of j over that cycle, and its cells
+    are N times that plus the deflections.  Alpha and beta do not enter.
     """
     m, big_n, v4 = n_alpha + n_beta, k // 2, 2 * k - 1
     g = gcd(big_n, m)
@@ -158,7 +159,7 @@ def component_velocity(n_alpha: int, n_beta: int, k: int) -> Fraction:
         j = min([(s - r) // g * inv % (m // g) for s in range(n_alpha, m) if (s - r) % g == 0],
                 default=0)
         if not j:  # r is weak, so j = 0 only when no band residue is reachable
-            return Fraction(big_n)
+            return m // g, big_n * m // g
         s = (r + j * big_n) % m
         down, up = s - n_alpha + 1, m - s
         steps += j
@@ -166,7 +167,13 @@ def component_velocity(n_alpha: int, n_beta: int, k: int) -> Fraction:
             cells, r = cells + j * big_n - down, n_alpha - 1
         else:
             cells, r = cells + j * big_n + up, 0
-    return Fraction(cells - first[r][1], steps - first[r][0])
+    return steps - first[r][0], cells - first[r][1]
+
+
+def component_velocity(n_alpha: int, n_beta: int, k: int) -> Fraction:
+    """f on jump-grid component k: cells over steps of the cycle that gives M and n."""
+    steps, cells = component_cycle(n_alpha, n_beta, k)
+    return Fraction(cells, steps)
 
 
 @dataclass(frozen=True)
@@ -187,7 +194,9 @@ class VelocityResult:
 
 
 def effective_velocity(spec: MediumSpec, y) -> VelocityResult:
-    """Average inward displacement per step, with one-sided values at jump points."""
+    """Average inward displacement per step, with one-sided values at jump points.
+
+    Off the grid, f, M and n come from the one reset cycle of component_cycle."""
     y = as_fraction(y)
     if y <= 0:
         raise ValueError("y must be positive")
@@ -196,8 +205,7 @@ def effective_velocity(spec: MediumSpec, y) -> VelocityResult:
         below, above = (component_velocity(spec.n_alpha, spec.n_beta, j) for j in (k - 1, k))
         value = below if below == above else None
         return VelocityResult(y=y, value=value, lower=below, upper=above, singular=True)
-    trace = run_orbit(spec, y)
-    f = trace.velocity
+    steps, cells = component_cycle(spec.n_alpha, spec.n_beta, k)
+    f = Fraction(cells, steps)
     return VelocityResult(y=y, value=f, lower=f, upper=f, singular=False,
-                          period_steps=trace.period_steps,
-                          period_cells=trace.period_cells)
+                          period_steps=steps, period_cells=cells)

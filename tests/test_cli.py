@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -128,6 +129,26 @@ def test_evolve_large_period_is_fast(capsys):
     assert payload["stop_reason"] == "collapse"
     assert len(payload["segments"]) == 1
     assert payload["extinction_window"] == ["7505/42021", "13830677717/1961960490"]
+    assert elapsed < 1.0
+
+
+def test_velocity_table_large_period_is_fast(capsys):
+    # period 1000003 at alpha = 1: the walk is too slow to serve as a reference
+    # here, so the rows are checked against the pinning slope and the band
+    n_beta = 3
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        ["velocity-table", "--alpha", "1", "--beta", "2", "--n-alpha", "1000000",
+         "--n-beta", str(n_beta), "--y-grid", "1/16:20:1/4", "--format", "json"], capsys)
+    elapsed = time.perf_counter() - start
+    assert (code, err) == (0, "")
+    rows = json.loads(out)
+    assert len(rows) == 80
+    for row in rows:
+        y, f = Fraction(row["y"]), Fraction(row["f"])
+        if y < Fraction(n_beta + 2, 4):
+            assert f == 0
+        assert abs(f - 2 * y) <= Fraction(2 * n_beta + 1, 2)
     assert elapsed < 1.0
 
 

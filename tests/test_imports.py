@@ -1,4 +1,5 @@
-"""Every library module uses each name it imports, and every private helper has a reader."""
+"""Every library module uses each name it imports, and every private helper and
+public method has a reader."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 import defectflow
 
 PACKAGE = Path(defectflow.__file__).parent
+ROOT = PACKAGE.parents[1]
 # __init__ imports names only to re-export them
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
@@ -72,3 +74,35 @@ def test_dead_helpers_detects_a_planted_name():
 
 def test_no_dead_helpers():
     assert dead_helpers(_package_sources()) == []
+
+
+def dead_methods(sources: dict, readers: list) -> list:
+    """Public methods of the classes in sources, by module and class, that no
+    source or reader reaches as an attribute."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = {node.attr for tree in [*trees.values(), *map(ast.parse, readers)]
+            for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    dead = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                dead += [(module, cls.name, fn.name) for fn in cls.body
+                         if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+                         and fn.name not in read]
+    return sorted(dead)
+
+
+def _reader_sources() -> list:
+    return [p.read_text() for folder in ("src", "tests", "bench")
+            for p in sorted((ROOT / folder).rglob("*.py"))]
+
+
+def test_dead_methods_detects_a_planted_name():
+    sources = _package_sources()
+    sources["extra"] = ("class Box:\n    def area(self):\n        return self.side() ** 2\n\n"
+                        "    def side(self):\n        return 2\n")
+    assert dead_methods(sources, _reader_sources()) == [("extra", "Box", "area")]
+
+
+def test_no_dead_methods():
+    assert dead_methods(_package_sources(), _reader_sources()) == []

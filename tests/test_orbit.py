@@ -44,7 +44,7 @@ def test_is_singular():
             if on_grid:
                 continue
             mid = component_midpoint(spec.alpha, k)
-            assert effective_velocity(spec, y).value == effective_velocity(spec, mid).value
+            assert run_orbit(spec, y).velocity == run_orbit(spec, mid).velocity
 
 
 def test_pinning_threshold():
@@ -169,6 +169,23 @@ def test_component_velocity_matches_run_orbit():
         f = component_velocity(n_alpha, n_beta, k)
         for spec in specs:
             assert run_orbit(spec, component_midpoint(spec.alpha, k)).velocity == f
+
+
+def test_effective_velocity_matches_run_orbit():
+    # the reset cycle against the walk at random points of a component, not
+    # only at its midpoint: f, M and the cells of one period must all agree
+    rng = random.Random(19)
+    draws = [(rng.randint(1, 12), rng.randint(0, 6), rng.randrange(60)) for _ in range(300)]
+    draws += [(rng.randint(10, 150), rng.randint(1, 3), rng.randrange(400)) for _ in range(20)]
+    for n_alpha, n_beta, k in draws:
+        alpha = rng.choice((Fraction(1), Fraction(1, 2), Fraction(3, 2)))
+        spec = MediumSpec(alpha=alpha, beta=2 * alpha if n_beta else None,
+                          n_alpha=n_alpha, n_beta=n_beta)
+        y = (k + Fraction(rng.randint(1, 999), 1000)) / (4 * alpha)
+        res, trace = effective_velocity(spec, y), run_orbit(spec, y)
+        assert not res.singular
+        assert ((res.value, res.period_steps, res.period_cells)
+                == (trace.velocity, trace.period_steps, trace.period_cells))
 
 
 def test_velocity_x0_independent():
