@@ -16,12 +16,12 @@ import json
 import sys
 from fractions import Fraction
 
-from .closedform import closed_form_velocity
+from .closedform import case_tag
 from .evolution import RectState, integrate
 from .flow import FamilyTooSmallError, FlowConfig, run_flow
 from .lattice import AlphaRectangle, MediumSpec
 from .orbit import (SingularInputError, effective_velocity, homogeneous_velocity,
-                    run_orbit)
+                    jump_component, run_orbit)
 from .rationals import format_rational, parse_rational
 
 # velocity-table work grows with the row count; larger grids are refused
@@ -95,7 +95,8 @@ def cmd_velocity_table(args) -> int:
             hom = homogeneous_velocity(spec.alpha, y)
             label = ""
             if spec.n_beta in (1, 2) and not res.singular:
-                label = closed_form_velocity(spec.n_alpha, spec.n_beta, spec.alpha, y).case.label
+                k, _ = jump_component(spec.alpha, y)
+                label = case_tag(spec.n_alpha, spec.n_beta, k, res.value).label
             if res.singular:
                 trend = ""
             elif res.value == 0:

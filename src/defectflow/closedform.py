@@ -36,6 +36,18 @@ class ClosedFormVelocity:
     case: CaseTag
 
 
+def case_tag(n_alpha: int, n_beta: int, k: int, value: Fraction) -> CaseTag:
+    """The branch of the formula that the velocity value on jump-grid component k falls in."""
+    big_n = k // 2
+    if value == big_n:
+        return CaseTag(label="a2_no_defect")
+    if (big_n + 1) % (n_alpha + n_beta) == 0:
+        label = "c" if value > big_n and n_beta == 1 else "b"
+    else:
+        label = "a1_accel" if value > big_n else "a1_decel"
+    return CaseTag(label=label, n_bar=(value - big_n).denominator)
+
+
 def closed_form_velocity(n_alpha: int, n_beta: int, alpha, y) -> ClosedFormVelocity:
     """Closed-form velocity f(y) and the branch of the formula it falls in."""
     alpha = as_fraction(alpha)
@@ -49,12 +61,4 @@ def closed_form_velocity(n_alpha: int, n_beta: int, alpha, y) -> ClosedFormVeloc
     if on_grid and (below := component_velocity(n_alpha, n_beta, k - 1)) != value:
         raise SingularInputError(
             f"y = {y} is a jump point: velocity is {below} below and {value} above")
-    big_n = k // 2
-    if value == big_n:
-        return ClosedFormVelocity(y=y, value=value, case=CaseTag(label="a2_no_defect"))
-    if (big_n + 1) % (n_alpha + n_beta) == 0:
-        label = "c" if value > big_n and n_beta == 1 else "b"
-    else:
-        label = "a1_accel" if value > big_n else "a1_decel"
-    return ClosedFormVelocity(y=y, value=value,
-                              case=CaseTag(label=label, n_bar=(value - big_n).denominator))
+    return ClosedFormVelocity(y=y, value=value, case=case_tag(n_alpha, n_beta, k, value))

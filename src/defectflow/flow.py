@@ -12,9 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import add
 from typing import Optional
 
-from .lattice import (AlphaRectangle, MediumSpec, _axis_terms, _sum_min_depth,
+from .lattice import (AlphaRectangle, MediumSpec, _count_residues_upto,
+                      _high_side_alpha, _low_side_alpha, _sum_min_depth,
                       homogeneous_medium, is_alpha_type, rect_dissipation,
                       rect_perimeter_energy)
 from .orbit import step_minimizer
@@ -150,19 +153,32 @@ def default_family(config: FlowConfig, current: AlphaRectangle) -> CandidateFami
     return CandidateFamily(base=current, max_offset=bound + 1)
 
 
-def _axis_candidates(spec: MediumSpec, lo: int, hi: int, top: int) -> list:
-    """Inward moves (a, b) in [0, top]^2 of the sides at lo and hi that leave a
-    row, each with the moved sides and their `_axis_terms`."""
-    return [(a, b, lo + a, hi - b, *_axis_terms(spec, lo + a, hi - b))
-            for a in range(top + 1) for b in range(min(top, hi - lo - a) + 1)]
+def _side_terms(spec: MediumSpec, lo: int, hi: int, top: int) -> tuple:
+    """For each inward move k in 0..top of the side at lo, and of the side at
+    hi: whether strong bonds cross the moved side, and its share of the strong
+    bond positions along a side spanning the moved axis (a low and a high
+    share add up to that count)."""
+    m, n_beta = spec.period, spec.n_beta
+    low = [(not _low_side_alpha(spec, lo + k), -_count_residues_upto(lo, lo + k - 1, m, n_beta))
+           for k in range(top + 1)]
+    high = [(not _high_side_alpha(spec, hi - k), _count_residues_upto(lo, hi - k, m, n_beta))
+            for k in range(top + 1)]
+    return low, high
 
 
 def brute_force_step(config: FlowConfig, current: AlphaRectangle) -> Optional[AlphaRectangle]:
     """Minimize the exact functional over the default family and the empty set.
 
-    Ties go to the candidate of smallest measure, then lexicographic offsets;
-    None means the empty set won.  If a winning rectangle touches the family
-    boundary the family was too small.
+    Ties go to the candidate of smallest measure, then lexicographic offsets
+    (dl, dr, db, dt); None means the empty set won.  If a winning rectangle
+    touches the family boundary the family was too small.
+
+    For fixed (dl, dr) the value splits as F(db) + G(dt): the bond count, the
+    strong bond count and the kept sum each add a part of the bottom side to a
+    part of the top side.  One pass over dt keeps the least G over dt <= t,
+    ties going to the larger dt (the smaller measure), and one pass over db
+    reads it at the largest dt that db leaves, so the search costs O(K^3) for
+    K = max_offset rather than K^4.
     """
     spec, top = config.spec, default_family(config, current).max_offset
     # value / epsilon = alpha*bonds + (beta - alpha)*strong + (epsilon/gamma)*(const - kept),
@@ -172,36 +188,65 @@ def brute_force_step(config: FlowConfig, current: AlphaRectangle) -> Optional[Al
                config.epsilon / config.gamma)
     scale = math.lcm(*(w.denominator for w in weights))
     bond, strong, kept = (int(w * scale) for w in weights)
-    a, b, c, d = current.x_min, current.x_max, current.y_min, current.y_max
-    xs = _axis_candidates(spec, a, b, top)
-    ys = _axis_candidates(spec, c, d, top)
-    # rows[u][col[v]]: kept over the cells of current with x <= u, y <= v; each
-    # candidate's kept is four of these by inclusion-exclusion
-    cols = sorted({v for _, _, y0, y1, _, _ in ys for v in (y0 - 1, y1)})
-    col = {v: j for j, v in enumerate(cols)}
-    rows = {u: [kept * ((u - a + 1) * (v - c + 1)
-                        + _sum_min_depth(b - a + 1, d - c + 1, 0, b - u, 0, d - v))
-                for v in cols]
-            for u in {e for _, _, x0, x1, _, _ in xs for e in (x0 - 1, x1)}}
-    ys = [(db, dt, y1 - y0 + 1, sy, cy, col[y1], col[y0 - 1])
-          for db, dt, y0, y1, sy, cy in ys]
+    width, height = current.width, current.height
+    tx, ty = min(top, width - 1), min(top, height - 1)
+    # corner[i][j]: area plus depth over an i x j corner block of current, the
+    # same at all four corners since the depth is symmetric under reflection
+    corner = [[0] * (ty + 1)]
+    for p in range(1, tx + 1):
+        column = (min(p, width + 1 - p, q, height + 1 - q) for q in range(1, ty + 1))
+        corner.append(list(map(add, corner[-1], accumulate(column, initial=0))))
+    # a candidate keeps all of current less the strip each side cuts off, plus
+    # the corner blocks cut off twice; the parts of one side: its strip and bonds
+    x_part = [kept * (k * height + _sum_min_depth(width, height, 0, width - k, 0, 0)) - 2 * bond * k
+              for k in range(tx + 1)]
+    y_part = [kept * (k * width + _sum_min_depth(width, height, 0, 0, 0, height - k)) - 2 * bond * k
+              for k in range(ty + 1)]
+    x_low, x_high = _side_terms(spec, current.x_min, current.x_max, tx)
+    y_low, y_high = _side_terms(spec, current.y_min, current.y_max, ty)
+
+    def corner_terms(xs, ys, extra):
+        # an x side and a y side meet at a corner: the strong bonds that each
+        # crosses along the other, less the kept of the corner block
+        return [[strong * (sx * ny + sy * nx) - kept * c + e
+                 for (sy, ny), c, e in zip(ys, row, extra)]
+                for (sx, nx), row in zip(xs, corner)]
+
+    no_part = [0] * (ty + 1)
+    f_left, f_right = corner_terms(x_low, y_low, y_part), corner_terms(x_high, y_low, no_part)
+    g_left, g_right = corner_terms(x_low, y_high, y_part), corner_terms(x_high, y_high, no_part)
+    base = 2 * bond * (width + height) - kept * (width * height
+                                                 + _sum_min_depth(width, height, 0, 0, 0, 0))
+    # db leaves dt <= caps[db]; g_least[i] is the least G over dt <= tight + i
+    caps = [min(ty, height - 1 - db) for db in range(ty + 1)]
+    tight = caps[-1]
+    cap_index = [t - tight for t in caps]
     best = (0, 0, None)  # the empty set, of measure 0, wins ties
-    for dl, dr, x0, x1, sx, cx in xs:
-        w = x1 - x0 + 1
-        hi_row, lo_row = rows[x1], rows[x0 - 1]
-        for db, dt, h, sy, cy, j1, j0 in ys:
-            value = (2 * bond * (w + h) + strong * (sx * cy + sy * cx)
-                     - (hi_row[j1] - lo_row[j1] - hi_row[j0] + lo_row[j0]))
-            if value <= best[0]:
-                key = (value, w * h, (dl, dr, db, dt))
-                if key < best:
-                    best = key
+    for dl in range(tx + 1):
+        for dr in range(min(tx, width - 1 - dl) + 1):
+            g = list(map(add, g_left[dl], g_right[dr]))
+            g_least = list(accumulate(g[tight + 1:], min, initial=min(g[:tight + 1])))
+            values = list(map(add, map(add, f_left[dl], f_right[dr]),
+                              map(g_least.__getitem__, cap_index)))
+            least = min(values)
+            value = base + x_part[dl] + x_part[dr] + least
+            if value > best[0]:
+                continue
+            w = width - dl - dr
+            for db, v in enumerate(values):
+                if v == least:
+                    t = caps[db]
+                    dt = max(j for j in range(t + 1) if g[j] == g_least[t - tight])
+                    key = (value, w * (height - db - dt), (dl, dr, db, dt))
+                    if key < best:
+                        best = key
     if best[2] is None:
         return None
     offsets = dl, dr, db, dt = best[2]
     if top in offsets:
         raise FamilyTooSmallError(f"minimizer at offsets {offsets} touches the family bound {top}")
-    return AlphaRectangle(a + dl, b - dr, c + db, d - dt)
+    return AlphaRectangle(current.x_min + dl, current.x_max - dr,
+                          current.y_min + db, current.y_max - dt)
 
 
 @dataclass(frozen=True)

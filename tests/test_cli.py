@@ -5,9 +5,11 @@ import hashlib
 import json
 import time
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 
+from defectflow import orbit
 from defectflow.cli import main
 from defectflow.closedform import closed_form_velocity
 
@@ -130,6 +132,26 @@ def test_evolve_large_period_is_fast(capsys):
     assert len(payload["segments"]) == 1
     assert payload["extinction_window"] == ["7505/42021", "13830677717/1961960490"]
     assert elapsed < 1.0
+
+
+def test_velocity_table_computes_one_cycle_per_row(capsys):
+    # the case_label column is derived from the row's f, not from a second cycle
+    calls = []
+    cycle = orbit.component_cycle
+
+    def counted(*args):
+        calls.append(args)
+        return cycle(*args)
+
+    argv = ["velocity-table", "--alpha", "1", "--beta", "2", "--n-alpha", "150",
+            "--n-beta", "2", "--y-grid", "1/16:20:1/4", "--format", "json"]
+    with patch.object(orbit, "component_cycle", counted):
+        code, out, err = run_cli(argv, capsys)
+    rows = json.loads(out)
+    assert (code, err, len(rows), len(calls)) == (0, "", 80, 80)
+    assert {row["singular"] for row in rows} == {"false"}
+    for row in rows:
+        assert row["case_label"] == closed_form_velocity(150, 2, 1, Fraction(row["y"])).case.label
 
 
 def test_velocity_table_large_period_is_fast(capsys):

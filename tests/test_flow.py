@@ -1,6 +1,7 @@
 """Two-dimensional rectangle flow: steppers, runs, comparison principle."""
 
 import random
+import time
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -242,6 +243,42 @@ def test_brute_force_breaks_value_ties_by_area_then_offsets():
         with _searching(family):
             assert brute_force_step(config, rect) == winner == _scan_step(config, rect, family)
     assert rect_perimeter_energy(hom, rect, eps) == rect_dissipation(rect, None, eps, eps * eps / 2)
+
+
+def test_brute_force_area_tie_through_the_dt_pass():
+    # moving the bottom and the top side in by one ties in value with moving
+    # only one of them; the smaller measure wins, so the least G over dt <= t
+    # must keep the larger dt
+    hom = homogeneous_medium(1)
+    gamma, eps = Fraction(1, 5), Fraction(1, 10)
+    for rect, winner, ties in (
+            (AlphaRectangle(1, 4, 1, 11), AlphaRectangle(1, 4, 2, 10),
+             (AlphaRectangle(1, 4, 2, 11), AlphaRectangle(1, 4, 1, 10))),
+            (AlphaRectangle(1, 11, 1, 4), AlphaRectangle(2, 10, 1, 4),
+             (AlphaRectangle(2, 11, 1, 4), AlphaRectangle(1, 10, 1, 4)))):
+        config = FlowConfig(spec=hom, gamma=gamma, epsilon=eps, initial=rect,
+                            steps=1, mode="brute_force")
+        values = {rect_perimeter_energy(hom, r, eps) + rect_dissipation(rect, r, eps, config.tau)
+                  for r in (winner, *ties)}
+        assert len(values) == 1
+        assert winner.width * winner.height == 36
+        assert {r.width * r.height for r in ties} == {40}
+        assert brute_force_step(config, rect) == winner == _scan_step(
+            config, rect, default_family(config, rect))
+
+
+def test_brute_force_large_y_step_is_fast():
+    # at Y = 20 the family bound is 82: the K^4 offset search took about 11 s
+    spec = MediumSpec(alpha=1, beta=2, n_alpha=3, n_beta=1)
+    rect = AlphaRectangle(2, 202, 2, 202)
+    eps = Fraction(1, 20)
+    start = time.perf_counter()
+    got = [brute_force_step(FlowConfig(spec=spec, gamma=y * rect.height * eps, epsilon=eps,
+                                       initial=rect, steps=1, mode="brute_force"), rect)
+           for y in (5, 20)]
+    elapsed = time.perf_counter() - start
+    assert got == [AlphaRectangle(12, 191, 12, 191), None]
+    assert elapsed < 1.0
 
 
 def test_brute_force_matches_full_enumeration():
