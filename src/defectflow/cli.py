@@ -213,14 +213,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--y-grid", type=_parse_grid, required=True,
                    metavar="START:STOP:STEP")
-    p.set_defaults(func=cmd_velocity_table)
 
     p = sub.add_parser("orbit", help="orbit of the one-dimensional side scheme")
     _add_medium_args(p)
     common(p)
     p.add_argument("--y", type=_rational, required=True)
     p.add_argument("--x0", type=int, default=0)
-    p.set_defaults(func=cmd_orbit)
 
     p = sub.add_parser("evolve", help="limit rectangle evolution")
     _add_medium_args(p)
@@ -229,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l1", type=_rational, required=True)
     p.add_argument("--l2", type=_rational, required=True)
     p.add_argument("--t-max", type=_rational, required=True)
-    p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("simulate", help="discrete rectangle flow at a given epsilon")
     _add_medium_args(p)
@@ -240,20 +237,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("per-side", "brute"), default="per-side")
     p.add_argument("--rect", type=_parse_rect, required=True,
                    metavar="XMIN:XMAX:YMIN:YMAX")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("validate", help="cross-check closed forms against orbits")
     p.add_argument("--n-alpha-max", type=int, default=12)
-    p.set_defaults(func=cmd_validate)
 
     return parser
 
 
+# built on main()'s first call and reused after, since the build costs more
+# than most jobs; commands are looked up by name at call time so that a
+# cmd_* replaced on the module (by a tracer or a test) is the one that runs
+_PARSER = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -148,6 +148,10 @@ def component_cycle(n_alpha: int, n_beta: int, k: int) -> tuple:
     in the band (mod m), and the orbit from 0 cycles through the resets 0 and
     n_alpha - 1 only.  The period is the sum of j over that cycle, and its cells
     are N times that plus the deflections.  Alpha and beta do not enter.
+
+    So f - k // 2 reads k only through N mod m and the parity of k, which fixes
+    the sign of 2k - 1 - 4N: it is 2m-periodic in k (proved).  Its oddness about
+    k = 1/2 and its range |f - k // 2| <= ceil(n_beta / 2) are only observed.
     """
     m, big_n, v4 = n_alpha + n_beta, k // 2, 2 * k - 1
     g = gcd(big_n, m)

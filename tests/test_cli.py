@@ -2,14 +2,18 @@
 
 import dataclasses
 import hashlib
+import io
 import json
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from defectflow import orbit
+from defectflow import cli, orbit
 from defectflow.cli import main
 from defectflow.closedform import closed_form_velocity
 
@@ -400,10 +404,108 @@ PINNED = [
 @pytest.mark.parametrize("argv, expected", PINNED,
                          ids=[f"{argv[0]}-{i}" for i, (argv, _) in enumerate(PINNED)])
 def test_pinned_output_bytes(capsys, argv, expected):
+    assert pinned_digest(argv, capsys) == expected
+
+
+def pinned_digest(argv, capsys) -> str:
     try:
         code, keep_err = main(argv), True
     except SystemExit as exc:  # argparse's wording varies between Python versions
         code, keep_err = exc.code, False
     out, err = capsys.readouterr()
     text = f"{code}\n{out}\n{err if keep_err else ''}"
-    assert hashlib.sha256(text.encode()).hexdigest()[:16] == expected
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_reused_parser_carries_no_state(capsys):
+    # every pinned call forward and then in reverse, in one process, with an
+    # argparse rejection and a model ValueError between calls
+    rejected = ["velocity-table", *MEDIUM, "--y-grid", "0.5:2:0.25"]
+    invalid = ["evolve", *MEDIUM, "--l1", "0", "--l2", "1", "--t-max", "1"]
+    for argv, expected in PINNED + PINNED[::-1]:
+        with pytest.raises(SystemExit) as exc:
+            main(rejected)
+        assert (exc.value.code, main(invalid)) == (2, 2)
+        capsys.readouterr()
+        assert pinned_digest(argv, capsys) == expected, argv
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    build = cli.build_parser
+    assert build() is not build()  # the public builder still returns a new parser
+    builds = []
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", counted)
+    for argv, expected in PINNED[:8]:
+        assert pinned_digest(argv, capsys) == expected
+    assert len(builds) == 1
+
+
+def test_main_runs_a_command_replaced_after_the_first_call(monkeypatch, capsys):
+    # the parser outlives the call that built it, so dispatch must not hold
+    # on to the cmd_* functions it saw then
+    argv = ["orbit", *MEDIUM, "--y", "7/8"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_orbit", lambda args: seen.append(args.y) or 0)
+    assert run_cli(argv, capsys) == (0, "", "")
+    assert seen == [Fraction(7, 8)]
+
+
+LENGTHS = ("1/4", "1/2", "3/4", "7/8", "1", "3/2", "2", "3")
+
+
+@st.composite
+def cli_argv(draw):
+    """velocity-table, orbit, evolve or simulate argv over small parameter sets."""
+    def pick(*values):
+        return draw(st.sampled_from(values))
+
+    def count(lo, hi):
+        return str(draw(st.integers(lo, hi)))
+
+    def span():  # rect bounds, mostly ordered so that the rectangle has cells
+        return sorted(draw(st.integers(-2, 14)) for _ in range(2))
+
+    # valid values first: hypothesis shrinks towards the first of a set
+    command = pick("velocity-table", "orbit", "evolve", "simulate")
+    argv = [command, "--alpha", pick("1", "1/2", "3/2"),
+            "--n-alpha", pick("1", "2", "3", "0", "-1"),
+            "--n-beta", pick("1", "0", "2", "3", "-1")]
+    beta = pick("2", "3", "1", None)
+    if beta is not None:
+        argv += ["--beta", beta]
+    if draw(st.booleans()):
+        argv += ["--format", "json"]
+    if command == "velocity-table":
+        argv += ["--y-grid", ":".join(pick(*LENGTHS) for _ in range(3))]
+    elif command == "orbit":
+        argv += ["--y", pick(*LENGTHS), "--x0", count(-1, 4)]
+    elif command == "evolve":
+        argv += ["--gamma", pick(*LENGTHS), "--l1", pick(*LENGTHS),
+                 "--l2", pick(*LENGTHS), "--t-max", pick(*LENGTHS)]
+    else:
+        argv += ["--gamma", pick(*LENGTHS), "--epsilon", pick(*LENGTHS),
+                 "--steps", count(0, 3), "--mode", pick("per-side", "brute"),
+                 "--rect=" + ":".join(map(str, [*span(), *span()]))]
+    return argv
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(cli_argv())
+def test_cli_exits_0_1_or_2_without_traceback(argv):
+    # every example runs in this process, through the one parser main() keeps
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv

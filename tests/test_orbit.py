@@ -188,6 +188,57 @@ def test_effective_velocity_matches_run_orbit():
                 == (trace.velocity, trace.period_steps, trace.period_cells))
 
 
+def _offset(n_alpha, n_beta, k):
+    """c(k) = f - k // 2 on jump-grid component k."""
+    return component_velocity(n_alpha, n_beta, k) - k // 2
+
+
+def test_velocity_offset_is_2m_periodic():
+    # proved: component_cycle reads k only through N mod m and the parity of k
+    for n_beta in range(7):
+        for n_alpha in range(1, 16):
+            m = n_alpha + n_beta
+            for k in range(6 * m + 10):
+                assert (_offset(n_alpha, n_beta, k + 2 * m)
+                        == _offset(n_alpha, n_beta, k)), (n_alpha, n_beta, k)
+
+
+def test_velocity_offset_is_odd_about_one_half():
+    # observed, not proved: c(r) = -c(1 - r) modulo 2m
+    for n_beta in range(7):
+        for n_alpha in range(1, 16):
+            m = n_alpha + n_beta
+            for r in range(2 * m):
+                assert (_offset(n_alpha, n_beta, r)
+                        == -_offset(n_alpha, n_beta, (1 - r) % (2 * m))), (n_alpha, n_beta, r)
+
+
+def test_velocity_offset_range():
+    # observed, not proved: |c| <= ceil(n_beta / 2)
+    for n_beta in range(4):
+        for n_alpha in range(1, 7):
+            for r in range(2 * (n_alpha + n_beta)):
+                assert abs(_offset(n_alpha, n_beta, r)) <= -(-n_beta // 2), (n_alpha, n_beta, r)
+
+
+def test_velocity_offset_properties_hold_for_run_orbit():
+    # the three properties above, read from the walk at component midpoints
+    rng = random.Random(21)
+    for _ in range(200):
+        alpha = rng.choice((Fraction(1), Fraction(1, 2), Fraction(3, 2)))
+        n_alpha, n_beta = rng.randint(1, 6), rng.randint(0, 3)
+        spec = MediumSpec(alpha=alpha, beta=2 * alpha if n_beta else None,
+                          n_alpha=n_alpha, n_beta=n_beta)
+        m = spec.period
+        k = rng.randrange(6 * m + 10)
+
+        def c(j):
+            return run_orbit(spec, component_midpoint(alpha, j)).velocity - j // 2
+
+        assert c(k + 2 * m) == c(k) == -c((1 - k) % (2 * m)), (spec, k)
+        assert abs(c(k)) <= -(-n_beta // 2), (spec, k)
+
+
 def test_velocity_x0_independent():
     spec = MediumSpec(alpha=1, beta=3, n_alpha=4, n_beta=1)
     for y in (Fraction(9, 8), Fraction(15, 8), Fraction(23, 8)):
