@@ -9,10 +9,9 @@ evolution, and a direct two-dimensional flow simulator.
 from .closedform import CaseTag, ClosedFormVelocity, closed_form_velocity
 from .evolution import (RectState, RectTrajectory, Segment, classify_regime,
                         integrate, velocity_of_length)
-from .flow import (CandidateFamily, FamilyTooSmallError, FlowConfig, FlowResult,
-                   StepRecord, brute_force_step, comparison_check,
-                   max_displacement_bound, per_side_step, run_flow,
-                   side_displacements)
+from .flow import (CandidateFamily, FlowConfig, FlowResult, StepRecord,
+                   brute_force_step, comparison_check, max_displacement_bound,
+                   per_side_step, run_flow, side_displacements)
 from .lattice import (AlphaRectangle, LatticeSet, MediumSpec, bond_coefficient,
                       dissipation, homogeneous_medium, is_alpha_type, lattice_set,
                       perimeter_energy, rect_dissipation, rect_perimeter_energy,

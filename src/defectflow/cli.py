@@ -18,10 +18,9 @@ from fractions import Fraction
 
 from .closedform import case_tag
 from .evolution import RectState, integrate
-from .flow import FamilyTooSmallError, FlowConfig, run_flow
+from .flow import FlowConfig, run_flow
 from .lattice import AlphaRectangle, MediumSpec
-from .orbit import (SingularInputError, effective_velocity, homogeneous_velocity,
-                    jump_component, run_orbit)
+from .orbit import SingularInputError, effective_velocity, homogeneous_velocity, run_orbit
 from .rationals import format_rational, parse_rational
 
 # velocity-table work grows with the row count; larger grids are refused
@@ -95,8 +94,7 @@ def cmd_velocity_table(args) -> int:
             hom = homogeneous_velocity(spec.alpha, y)
             label = ""
             if spec.n_beta in (1, 2) and not res.singular:
-                k, _ = jump_component(spec.alpha, y)
-                label = case_tag(spec.n_alpha, spec.n_beta, k, res.value).label
+                label = case_tag(spec.n_alpha, spec.n_beta, int(hom), res.value).label
             if res.singular:
                 trend = ""
             elif res.value == 0:
@@ -263,11 +261,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1
-    except FamilyTooSmallError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except AssertionError as exc:
-        # a bounded loop (an orbit or the event walk) ran past its bound
+        # an orbit, the event walk or the exhaustive step's offsets ran past a bound
         print(f"error: internal: {exc}", file=sys.stderr)
         return 1
 

@@ -36,9 +36,8 @@ class ClosedFormVelocity:
     case: CaseTag
 
 
-def case_tag(n_alpha: int, n_beta: int, k: int, value: Fraction) -> CaseTag:
-    """The branch of the formula that the velocity value on jump-grid component k falls in."""
-    big_n = k // 2
+def case_tag(n_alpha: int, n_beta: int, big_n: int, value: Fraction) -> CaseTag:
+    """The branch of the formula that the velocity value at natural step N = big_n falls in."""
     if value == big_n:
         return CaseTag(label="a2_no_defect")
     if (big_n + 1) % (n_alpha + n_beta) == 0:
@@ -61,4 +60,4 @@ def closed_form_velocity(n_alpha: int, n_beta: int, alpha, y) -> ClosedFormVeloc
     if on_grid and (below := component_velocity(n_alpha, n_beta, k - 1)) != value:
         raise SingularInputError(
             f"y = {y} is a jump point: velocity is {below} below and {value} above")
-    return ClosedFormVelocity(y=y, value=value, case=case_tag(n_alpha, n_beta, k, value))
+    return ClosedFormVelocity(y=y, value=value, case=case_tag(n_alpha, n_beta, k // 2, value))

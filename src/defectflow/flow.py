@@ -16,8 +16,7 @@ from itertools import accumulate
 from operator import add
 from typing import Optional
 
-from .lattice import (AlphaRectangle, MediumSpec, _count_residues_upto,
-                      _high_side_alpha, _low_side_alpha, _sum_min_depth,
+from .lattice import (AlphaRectangle, MediumSpec, _side_terms, _sum_min_depth,
                       homogeneous_medium, is_alpha_type, rect_dissipation,
                       rect_perimeter_energy)
 from .orbit import step_minimizer
@@ -25,10 +24,6 @@ from .rationals import as_fraction
 
 # run_flow stops once the shorter side has at most this many cells
 _FLOOR_CELLS = 4
-
-
-class FamilyTooSmallError(RuntimeError):
-    """The brute-force minimizer landed on the family boundary; widen the family."""
 
 
 @dataclass
@@ -109,11 +104,12 @@ def per_side_step(config: FlowConfig, current: AlphaRectangle) -> Optional[Alpha
 
 
 def max_displacement_bound(spec: MediumSpec, gamma, rect: AlphaRectangle, epsilon) -> int:
-    """A priori bound on how far any side can move in one step.
+    """The farthest any side moves in one step, as the exhaustive step assumes.
 
     A displacement N only pays off when (N - n_beta)^2 <= 4*alpha*gamma*N/L
     with L the shorter physical side length.  Those N form an interval
-    holding n_beta, so the walk to its upper end starts there.
+    holding n_beta, so the walk to its upper end starts there.  It is not a
+    proven bound: a side may pay to jump a whole strong band past it.
     """
     gamma = as_fraction(gamma)
     epsilon = as_fraction(epsilon)
@@ -153,25 +149,13 @@ def default_family(config: FlowConfig, current: AlphaRectangle) -> CandidateFami
     return CandidateFamily(base=current, max_offset=bound + 1)
 
 
-def _side_terms(spec: MediumSpec, lo: int, hi: int, top: int) -> tuple:
-    """For each inward move k in 0..top of the side at lo, and of the side at
-    hi: whether strong bonds cross the moved side, and its share of the strong
-    bond positions along a side spanning the moved axis (a low and a high
-    share add up to that count)."""
-    m, n_beta = spec.period, spec.n_beta
-    low = [(not _low_side_alpha(spec, lo + k), -_count_residues_upto(lo, lo + k - 1, m, n_beta))
-           for k in range(top + 1)]
-    high = [(not _high_side_alpha(spec, hi - k), _count_residues_upto(lo, hi - k, m, n_beta))
-            for k in range(top + 1)]
-    return low, high
-
-
 def brute_force_step(config: FlowConfig, current: AlphaRectangle) -> Optional[AlphaRectangle]:
     """Minimize the exact functional over the default family and the empty set.
 
     Ties go to the candidate of smallest measure, then lexicographic offsets
-    (dl, dr, db, dt); None means the empty set won.  If a winning rectangle
-    touches the family boundary the family was too small.
+    (dl, dr, db, dt); None means the empty set won.  A winner on the family
+    bound breaks the assumption of max_displacement_bound and raises
+    AssertionError; an interior winner or the empty set does not show it held.
 
     For fixed (dl, dr) the value splits as F(db) + G(dt): the bond count, the
     strong bond count and the kept sum each add a part of the bottom side to a
@@ -244,7 +228,7 @@ def brute_force_step(config: FlowConfig, current: AlphaRectangle) -> Optional[Al
         return None
     offsets = dl, dr, db, dt = best[2]
     if top in offsets:
-        raise FamilyTooSmallError(f"minimizer at offsets {offsets} touches the family bound {top}")
+        raise AssertionError(f"minimizer at offsets {offsets} touches the family bound {top}")
     return AlphaRectangle(current.x_min + dl, current.x_max - dr,
                           current.y_min + db, current.y_max - dt)
 

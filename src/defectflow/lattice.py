@@ -213,6 +213,19 @@ def _axis_terms(spec: MediumSpec, lo: int, hi: int) -> tuple:
     return crossed, _count_residues_upto(lo, hi, spec.period, spec.n_beta)
 
 
+def _side_terms(spec: MediumSpec, lo: int, hi: int, top: int) -> tuple:
+    """_axis_terms split per side, for each inward move k in 0..top of the side
+    at lo and of the side at hi: whether strong bonds cross the moved side, and
+    its share of the strong bond positions along a side spanning the moved axis
+    (a low and a high share add up to that count)."""
+    m, n_beta = spec.period, spec.n_beta
+    low = [(not _low_side_alpha(spec, lo + k), -_count_residues_upto(lo, lo + k - 1, m, n_beta))
+           for k in range(top + 1)]
+    high = [(not _high_side_alpha(spec, hi - k), _count_residues_upto(lo, hi - k, m, n_beta))
+            for k in range(top + 1)]
+    return low, high
+
+
 def rect_perimeter_energy(spec: MediumSpec, rect: AlphaRectangle, epsilon) -> Fraction:
     """Perimeter energy of a full rectangle, via residue counting."""
     epsilon = as_fraction(epsilon)

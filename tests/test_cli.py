@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from defectflow import cli, orbit
 from defectflow.cli import main
 from defectflow.closedform import closed_form_velocity
+from defectflow.flow import CandidateFamily
 
 MEDIUM = ["--alpha", "1", "--beta", "2", "--n-alpha", "1", "--n-beta", "1"]
 M21 = ["--alpha", "1", "--beta", "2", "--n-alpha", "2", "--n-beta", "1"]
@@ -255,6 +256,16 @@ def test_internal_assertion_exits_1_without_traceback(monkeypatch, capsys, modul
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (1, "")
     assert err == "error: internal: orbit failed to close within the pigeonhole bound\n"
+
+
+def test_family_bound_breach_exits_1_as_internal(monkeypatch, capsys):
+    # every side moves one cell, onto the edge of a family of offsets 0..1
+    monkeypatch.setattr("defectflow.flow.default_family",
+                        lambda config, current: CandidateFamily(base=current, max_offset=1))
+    code, out, err = run_cli(["simulate", *M21, "--gamma", "49/60", "--epsilon", "1/30",
+                              "--steps", "1", "--rect", "2:29:2:29", "--mode", "brute"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: internal: minimizer at offsets (1, 1, 1, 1) touches the family bound 1\n"
 
 
 def test_output_to_file(tmp_path, capsys):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defectflow import flow
-from defectflow.flow import (_FLOOR_CELLS, CandidateFamily, FamilyTooSmallError,
+from defectflow.flow import (_FLOOR_CELLS, CandidateFamily,
                              FlowConfig, brute_force_step, comparison_check,
                              default_family, max_displacement_bound, per_side_step,
                              run_flow, side_displacements)
@@ -214,7 +214,7 @@ def test_brute_force_matches_fraction_scan(problem):
     try:
         with _searching(family):  # a function-scoped monkeypatch fails hypothesis's health check
             got = brute_force_step(config, rect)
-    except FamilyTooSmallError as exc:
+    except AssertionError as exc:
         assert expected[0] == "family too small", (expected, exc)
         assert str(expected[1]) in str(exc)
     else:
@@ -306,6 +306,26 @@ def test_brute_force_matches_full_enumeration():
         assert got == _scan_step(config, rect, every), (spec, rect, y)
         outcomes.add("empty" if got is None else "kept" if got == rect else "moved")
     assert outcomes == {"empty", "kept", "moved"}
+    # the default family against the same search over offsets up to the
+    # longer side, on larger rectangles and 2*alpha*Y in [1/2, 5]
+    rng = random.Random(7)
+    outcomes = set()
+    for _ in range(100):
+        n_beta, alpha = rng.randint(0, 3), rng.choice([Fraction(1, 2), Fraction(1), Fraction(3, 2)])
+        spec = MediumSpec(alpha=alpha, beta=alpha * rng.choice([2, 3, 6]) if n_beta else None,
+                          n_alpha=rng.randint(1, 4), n_beta=n_beta)
+        rect = None
+        while rect is None or not is_alpha_type(spec, rect):
+            x0, y0 = rng.randrange(12), rng.randrange(12)
+            rect = AlphaRectangle(x0, x0 + rng.randint(6, 24), y0, y0 + rng.randint(6, 24))
+        y = Fraction(rng.randint(8, 80), 16) / (2 * alpha)
+        config = FlowConfig(spec=spec, gamma=y * rect.height * eps, epsilon=eps,
+                            initial=rect, steps=1, mode="brute_force")
+        got = brute_force_step(config, rect)
+        with _searching(CandidateFamily(base=rect, max_offset=max(rect.width, rect.height))):
+            assert got == brute_force_step(config, rect), (spec, rect, y)
+        outcomes.add("empty" if got is None else "kept" if got == rect else "moved")
+    assert outcomes == {"empty", "kept", "moved"}
 
 
 def test_family_too_small_raises():
@@ -316,8 +336,25 @@ def test_family_too_small_raises():
     assert brute_force_step(cfg, rect) == per_side_step(cfg, rect) == AlphaRectangle(
         rect.x_min + 1, rect.x_max - 1, rect.y_min + 1, rect.y_max - 1)
     with _searching(CandidateFamily(base=rect, max_offset=1)), \
-            pytest.raises(FamilyTooSmallError, match=r"\(1, 1, 1, 1\)"):
+            pytest.raises(AssertionError, match=r"\(1, 1, 1, 1\)"):
         brute_force_step(cfg, rect)
+    # no certificate: a winner off the family bound may still be wrong, since
+    # a side must jump a whole strong band before moving pays.  At offsets
+    # 0..1 the first step returns the empty set, the second the unchanged
+    # rectangle, both with no error
+    eps = Fraction(1, 20)
+    for spec, rect, gamma, winner, kept in (
+            (MediumSpec(alpha=Fraction(1, 2), beta=Fraction(3, 2), n_alpha=1, n_beta=1),
+             AlphaRectangle(10, 39, 8, 25), Fraction(189, 80), AlphaRectangle(12, 37, 10, 23), False),
+            (MediumSpec(alpha=Fraction(3, 2), beta=3, n_alpha=1, n_beta=3),
+             AlphaRectangle(4, 27, 8, 27), Fraction(35, 48), AlphaRectangle(8, 23, 12, 23), True)):
+        cfg = FlowConfig(spec=spec, gamma=gamma, epsilon=eps, initial=rect, steps=1,
+                         mode="brute_force")
+        assert brute_force_step(cfg, rect) == winner
+        with _searching(CandidateFamily(base=rect, max_offset=max(rect.width, rect.height))):
+            assert brute_force_step(cfg, rect) == winner
+        with _searching(CandidateFamily(base=rect, max_offset=1)):
+            assert brute_force_step(cfg, rect) == (rect if kept else None)
 
 
 def test_brute_force_step_picks_the_empty_set():
