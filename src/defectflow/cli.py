@@ -25,6 +25,8 @@ from .rationals import format_rational, parse_rational
 
 # velocity-table work grows with the row count; larger grids are refused
 _MAX_TABLE_ROWS = 10_000
+# validate's sweep time grows about 6-fold per doubling (9 s at 24); larger values are refused
+_MAX_VALIDATE_N_ALPHA = 24
 
 
 def _rational(text: str) -> Fraction:
@@ -185,6 +187,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    if args.n_alpha_max > _MAX_VALIDATE_N_ALPHA:
+        raise ValueError(f"--n-alpha-max {args.n_alpha_max} is more than {_MAX_VALIDATE_N_ALPHA}")
     # imported here: only validate needs it, and every CLI start pays for imports
     from .validation import invariant_failures, oracle_equivalence_failures
 

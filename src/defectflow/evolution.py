@@ -54,22 +54,18 @@ def _component_velocities(spec: MediumSpec, gamma: Fraction):
     return f
 
 
-def _next_change_length(spec: MediumSpec, gamma, length, f) -> Fraction:
-    """Largest side length below `length` at which f(gamma/L) changes value.
+def _next_change(spec: MediumSpec, k: int, f) -> int:
+    """First jump-grid component above k on which f changes value.
 
-    `f` maps a jump-grid component to its velocity.
+    `f` maps a component to its velocity; component j starts at length 4*alpha*gamma / j.
     Every step lands within (n_beta+1)/2 of its vertex 2*alpha*y - 1/2, so
     on component j, at its midpoint, f >= (2j+1)/4 - (n_beta+2)/2: f must
     have changed by component floor(2*f + 1/2) + n_beta + 2.
     """
-    alpha = spec.alpha
-    # y itself may sit on the grid; the next candidate is strictly above
-    k, _ = jump_component(alpha, gamma / length)
     current = f(k)
     for j in range(k + 1, rational_floor(2 * current + Fraction(1, 2)) + spec.n_beta + 3):
-        # the grid point y = j / (4*alpha) between components j - 1 and j
         if f(j) != current:
-            return 4 * alpha * gamma / j
+            return j
     raise AssertionError(f"f = {current} failed to change within its band bound")
 
 
@@ -128,16 +124,13 @@ class RectTrajectory:
         raise ValueError(f"t = {t} is outside the integrated range")
 
 
-def _tail_bound_ready(spec: MediumSpec, gamma, l1, l2) -> bool:
-    # below this length the velocity dominates a multiple of 1/L, giving an
-    # integrable bound on the remaining lifetime
-    bound = spec.alpha * gamma / (spec.n_beta + 1)
-    return max(l1, l2) <= bound
-
-
-def _tail_bound(spec: MediumSpec, gamma, l1, l2) -> Fraction:
+def _tail_window(spec: MediumSpec, gamma, t, l1, l2) -> Optional[tuple]:
+    """Extinction bracket from time t once the longer side is so short that the velocity
+    dominates a multiple of 1/L, an integrable bound on the remaining lifetime; else None."""
     s = max(l1, l2)
-    return s * s * (spec.n_beta + 2) / (2 * spec.alpha * (2 * spec.n_beta + 3))
+    if s > spec.alpha * gamma / (spec.n_beta + 1):
+        return None
+    return t, t + s * s * (spec.n_beta + 2) / (2 * spec.alpha * (2 * spec.n_beta + 3))
 
 
 def integrate(spec: MediumSpec, gamma, initial: RectState, t_max) -> RectTrajectory:
@@ -153,18 +146,18 @@ def integrate(spec: MediumSpec, gamma, initial: RectState, t_max) -> RectTraject
     stop_reason = "t_max"
     f = _component_velocities(spec, gamma)
     for _ in range(_MAX_EVENTS):
-        f1 = f(jump_component(spec.alpha, gamma / l2)[0])  # drives side 1
-        f2 = f(jump_component(spec.alpha, gamma / l1)[0])
-        s1 = -2 * f1 / gamma
-        s2 = -2 * f2 / gamma
+        k1 = jump_component(spec.alpha, gamma / l1)[0]
+        k2 = jump_component(spec.alpha, gamma / l2)[0]
+        s1 = -2 * f(k2) / gamma  # each side is driven by the other's length
+        s2 = -2 * f(k1) / gamma
         if s1 == 0 and s2 == 0:
             segments.append(Segment(t, t_max, l1, l2, s1, s2))
             stop_reason = "pinned"
             break
         dt = None
-        for length, slope in ((l1, s1), (l2, s2)):
+        for length, k, slope in ((l1, k1, s1), (l2, k2, s2)):
             if slope < 0:
-                target = _next_change_length(spec, gamma, length, f)
+                target = 4 * spec.alpha * gamma / _next_change(spec, k, f)
                 cand = (length - target) / (-slope)
                 if dt is None or cand < dt:
                     dt = cand
@@ -177,8 +170,7 @@ def integrate(spec: MediumSpec, gamma, initial: RectState, t_max) -> RectTraject
         l1 = l1 + s1 * dt
         l2 = l2 + s2 * dt
         t = t_end
-        if s1 < 0 and s2 < 0 and _tail_bound_ready(spec, gamma, l1, l2):
-            extinction_window = (t, t + _tail_bound(spec, gamma, l1, l2))
+        if s1 < 0 and s2 < 0 and (extinction_window := _tail_window(spec, gamma, t, l1, l2)):
             stop_reason = "collapse"
             break
     else:

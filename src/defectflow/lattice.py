@@ -179,22 +179,15 @@ class AlphaRectangle:
                 or self.y_max < other.y_min or other.y_max < self.y_min)
 
 
-def _low_side_alpha(spec: MediumSpec, coord: int) -> bool:
-    # boundary line just below/left of `coord`; strong bonds can cross it
-    # only when the residue falls inside the strong band
-    r = coord % spec.period
-    return not (1 <= r <= spec.n_beta)
-
-
-def _high_side_alpha(spec: MediumSpec, coord: int) -> bool:
-    r = coord % spec.period
-    return r >= spec.n_beta
+def _strong_line(spec: MediumSpec, c: int) -> bool:
+    """Whether strong bonds cross the line between cells c and c + 1, in either axis."""
+    return c % spec.period < spec.n_beta
 
 
 def is_alpha_type(spec: MediumSpec, rect: AlphaRectangle) -> bool:
-    """True when every boundary bond of the rectangle is weak (alpha)."""
-    return (_low_side_alpha(spec, rect.x_min) and _high_side_alpha(spec, rect.x_max)
-            and _low_side_alpha(spec, rect.y_min) and _high_side_alpha(spec, rect.y_max))
+    """True when no side lies on a strong line, so every boundary bond is weak (alpha)."""
+    return not (_strong_line(spec, rect.x_min - 1) or _strong_line(spec, rect.x_max)
+                or _strong_line(spec, rect.y_min - 1) or _strong_line(spec, rect.y_max))
 
 
 def _count_residues_upto(lo: int, hi: int, m: int, limit: int) -> int:
@@ -206,22 +199,15 @@ def _count_residues_upto(lo: int, hi: int, m: int, limit: int) -> int:
     return max(0, upto(hi) - upto(lo - 1))
 
 
-def _axis_terms(spec: MediumSpec, lo: int, hi: int) -> tuple:
-    """How many of the sides at lo and hi strong bonds cross, and the strong
-    bond positions along one side spanning [lo, hi]."""
-    crossed = (not _low_side_alpha(spec, lo)) + (not _high_side_alpha(spec, hi))
-    return crossed, _count_residues_upto(lo, hi, spec.period, spec.n_beta)
-
-
 def _side_terms(spec: MediumSpec, lo: int, hi: int, top: int) -> tuple:
-    """_axis_terms split per side, for each inward move k in 0..top of the side
-    at lo and of the side at hi: whether strong bonds cross the moved side, and
-    its share of the strong bond positions along a side spanning the moved axis
-    (a low and a high share add up to that count)."""
+    """For each inward move k in 0..top of the side at lo and of the side at hi:
+    whether strong bonds cross the moved side, and its share of the strong bond
+    positions along a side spanning the moved axis (a low and a high share add
+    up to that count)."""
     m, n_beta = spec.period, spec.n_beta
-    low = [(not _low_side_alpha(spec, lo + k), -_count_residues_upto(lo, lo + k - 1, m, n_beta))
+    low = [(_strong_line(spec, lo + k - 1), -_count_residues_upto(lo, lo + k - 1, m, n_beta))
            for k in range(top + 1)]
-    high = [(not _high_side_alpha(spec, hi - k), _count_residues_upto(lo, hi - k, m, n_beta))
+    high = [(_strong_line(spec, hi - k), _count_residues_upto(lo, hi - k, m, n_beta))
             for k in range(top + 1)]
     return low, high
 
@@ -229,10 +215,11 @@ def _side_terms(spec: MediumSpec, lo: int, hi: int, top: int) -> tuple:
 def rect_perimeter_energy(spec: MediumSpec, rect: AlphaRectangle, epsilon) -> Fraction:
     """Perimeter energy of a full rectangle, via residue counting."""
     epsilon = as_fraction(epsilon)
-    sx, cx = _axis_terms(spec, rect.x_min, rect.x_max)
-    sy, cy = _axis_terms(spec, rect.y_min, rect.y_max)
     # strong vertical sides span the y range, strong horizontal sides the x range
-    strong = sx * cy + sy * cx
+    strong = ((_strong_line(spec, rect.x_min - 1) + _strong_line(spec, rect.x_max))
+              * _count_residues_upto(rect.y_min, rect.y_max, spec.period, spec.n_beta)
+              + (_strong_line(spec, rect.y_min - 1) + _strong_line(spec, rect.y_max))
+              * _count_residues_upto(rect.x_min, rect.x_max, spec.period, spec.n_beta))
     energy = spec.alpha * 2 * (rect.width + rect.height)
     if strong:
         energy += (spec.beta - spec.alpha) * strong

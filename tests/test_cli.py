@@ -315,6 +315,22 @@ def test_validate_injected_mismatch_fails(monkeypatch, capsys):
     assert "FAIL oracle_equivalence" in out
 
 
+def test_validate_refuses_large_n_alpha_max_before_any_work(monkeypatch, capsys):
+    from defectflow import validation
+
+    swept = []
+    monkeypatch.setattr(validation, "oracle_equivalence_failures",
+                        lambda n_alpha_max: swept.append(n_alpha_max) or [])
+    monkeypatch.setattr(validation, "invariant_failures", lambda: [])
+    assert run_cli(["validate", "--n-alpha-max", "24"], capsys) == \
+        (0, "PASS oracle_equivalence\nPASS invariants\n", "")
+    for n in ("25", "96", "10000000"):
+        code, out, err = run_cli(["validate", "--n-alpha-max", n], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: --n-alpha-max {n} is more than 24\n"
+    assert swept == [24]
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", *HOM, "--epsilon", "1/10", "--steps", "1", "--rect", "0:9:0:9",
      "--floor", "2"],

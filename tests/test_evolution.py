@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defectflow import evolution
-from defectflow.evolution import (RectState, _next_change_length, classify_regime,
+from defectflow.evolution import (RectState, _next_change, classify_regime,
                                   integrate, velocity_of_length)
 from defectflow.lattice import MediumSpec, homogeneous_medium
 from defectflow.orbit import jump_component, pinning_threshold
@@ -58,7 +58,8 @@ def test_next_change_length_matches_unbounded_walk():
                     j = rng.randint(0, 48) + Fraction(rng.randint(1, 6), 7)
                 length = gamma * 4 * alpha / j
                 f = evolution._component_velocities(spec, gamma)
-                assert _next_change_length(spec, gamma, length, f) == \
+                k = jump_component(alpha, gamma / length)[0]
+                assert 4 * alpha * gamma / _next_change(spec, k, f) == \
                     _next_change_by_walk(spec, gamma, length)
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from defectflow import flow
@@ -206,8 +206,15 @@ def step_problems(draw):
     return config, rect, family
 
 
+_BOUND_BREACH_RECT = alpha_square(SPEC21, 30)
+
+
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(step_problems())
+# no drawn example puts the winner on the family bound; this one does, at (1, 1, 1, 1)
+@example((FlowConfig(spec=SPEC21, gamma=Fraction(49, 60), epsilon=Fraction(1, 30),
+                     initial=_BOUND_BREACH_RECT, steps=1, mode="brute_force"),
+          _BOUND_BREACH_RECT, CandidateFamily(base=_BOUND_BREACH_RECT, max_offset=1)))
 def test_brute_force_matches_fraction_scan(problem):
     config, rect, family = problem
     expected = _scan_step(config, rect, family)

@@ -106,3 +106,33 @@ def test_dead_methods_detects_a_planted_name():
 
 def test_no_dead_methods():
     assert dead_methods(_package_sources(), _reader_sources()) == []
+
+
+def unread_parameters(source: str) -> list:
+    """(line, function, parameter) for each parameter that its function's body never reads."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                      *filter(None, (args.vararg, args.kwarg))]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [(node.lineno, getattr(node, "name", "<lambda>"), p.arg)
+                       for p in params if p.arg not in read]
+    return sorted(unread)
+
+
+def test_unread_parameters_detects_a_planted_name():
+    source = ("def bound(spec, gamma, l1, *rest, scale=1, **opts):\n"
+              "    return max(l1, *rest) * scale + spec\n\n\n"
+              "def outer(a, b):\n"
+              "    return lambda c: a\n")
+    assert unread_parameters(source) == [(1, "bound", "gamma"), (1, "bound", "opts"),
+                                         (5, "outer", "b"), (6, "<lambda>", "c")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_no_unread_parameters(path):
+    assert unread_parameters(path.read_text()) == []

@@ -73,6 +73,20 @@ def test_perimeter_homogeneous_is_alpha_times_length():
     assert perimeter_energy(hom, s) == Fraction(3, 2) * Fraction(16, 5)
 
 
+def _drawn_rectangles(seed, count):
+    """Seeded media (n_alpha 1-4, n_beta 0-3) with a rectangle whose bounds lie in [-2m, 3m]."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        alpha = rng.choice((Fraction(1, 2), Fraction(1), Fraction(3, 2)))
+        n_beta = rng.randint(0, 3)
+        spec = MediumSpec(alpha=alpha, beta=alpha + rng.choice((alpha, Fraction(1, 3))),
+                          n_alpha=rng.randint(1, 4), n_beta=n_beta)
+        m = spec.period
+        x_min, x_max, y_min, y_max = (*sorted(rng.randint(-2 * m, 3 * m) for _ in "xx"),
+                                      *sorted(rng.randint(-2 * m, 3 * m) for _ in "yy"))
+        yield spec, AlphaRectangle(x_min, x_max, y_min, y_max)
+
+
 def test_rect_perimeter_matches_bond_loop():
     eps = Fraction(1, 7)
     for spec in (SPEC, MediumSpec(alpha=Fraction(1, 2), beta=3, n_alpha=1, n_beta=2),
@@ -83,6 +97,39 @@ def test_rect_perimeter_matches_bond_loop():
             fast = rect_perimeter_energy(spec, rect, eps)
             slow = perimeter_energy(spec, rect.to_lattice_set(eps))
             assert fast == slow
+    for spec, rect in _drawn_rectangles(23, 120):
+        assert rect_perimeter_energy(spec, rect, eps) == \
+            perimeter_energy(spec, rect.to_lattice_set(eps)), (spec, rect)
+
+
+def test_is_alpha_type_matches_bond_coefficients():
+    # alpha-type: no side lies on a line that carries strong bonds, so the
+    # bonds across each side's line are weak over a whole period along it.
+    # A side shorter than n_alpha can dodge the strong bonds of its line, so
+    # there "every boundary bond is weak" does not give alpha-type back.
+    def all_weak(spec, r, xs, ys):
+        # the bonds across the four side lines of r at the given positions along them
+        bonds = ([((x, r.y_min), (x, r.y_min - 1)) for x in xs]
+                 + [((x, r.y_max), (x, r.y_max + 1)) for x in xs]
+                 + [((r.x_min, y), (r.x_min - 1, y)) for y in ys]
+                 + [((r.x_max, y), (r.x_max + 1, y)) for y in ys])
+        return all(bond_coefficient(spec, *bond) == spec.alpha for bond in bonds)
+
+    outcomes = set()
+    for spec, r in _drawn_rectangles(23, 400):
+        weak = all_weak(spec, r, range(r.x_min, r.x_max + 1), range(r.y_min, r.y_max + 1))
+        alpha_type = is_alpha_type(spec, r)
+        assert alpha_type == all_weak(spec, r, range(spec.period), range(spec.period))
+        if min(r.width, r.height) >= spec.n_alpha:
+            assert alpha_type == weak, (spec, r)
+            outcomes.add(weak)
+        else:
+            assert weak or not alpha_type, (spec, r)
+    assert outcomes == {True, False}
+    # the y range 4..6 misses the strong residues 0..3 of the line at x = 15
+    spec = MediumSpec(alpha=1, beta=2, n_alpha=4, n_beta=3)
+    assert not is_alpha_type(spec, AlphaRectangle(-9, 15, 4, 6))
+    assert rect_perimeter_energy(spec, AlphaRectangle(-9, 15, 4, 6), 1) == 2 * (25 + 3)
 
 
 def test_perimeter_bounds():
